@@ -41,7 +41,7 @@ fn bench(c: &mut Criterion) {
         prefix_cache_bytes: 4 << 20,
         ..BatchConfig::default()
     };
-    let pool = Arc::new(ReplicaPool::spawn(Arc::clone(&model), cfg, 4));
+    let pool = Arc::new(ReplicaPool::spawn(Arc::clone(&model), cfg, 4, &[]));
 
     // Warm every replica's radix tree so the affinity probe measures a
     // real walk, not an empty-tree early-out.

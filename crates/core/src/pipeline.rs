@@ -5,9 +5,9 @@ use std::sync::{Arc, OnceLock};
 
 use wisdom_corpus::{Corpus, CorpusSpec, PromptStyle, SplitSamples};
 use wisdom_model::{
-    finetune, pack_documents, pretrain, BatchConfig, BatchScheduler, Constraint, FinetuneConfig,
-    GenerationOptions, GrammarIndex, ModelConfig, PretrainConfig, SftSample, SubmitError,
-    TransformerLm,
+    finetune, pack_documents, pretrain, BatchConfig, Constraint, DecodeRequest, FinetuneConfig,
+    GenerationOptions, GrammarIndex, ModelConfig, PretrainConfig, ReplicaPool, ReplicaTelemetry,
+    SftSample, TransformerLm,
 };
 use wisdom_prng::Prng;
 use wisdom_tokenizer::BpeTokenizer;
@@ -249,178 +249,57 @@ impl Wisdom {
         }
     }
 
-    fn suggest(&self, request: &CompletionRequest, out: &[u32]) -> Suggestion {
-        Suggestion::from_raw(request, &self.tokenizer.decode(out))
-    }
-
     /// Completes a request: builds the name-completion prompt from the
     /// editor context and intent, generates greedily, truncates to the
-    /// first task, and lints the result.
+    /// first task, and lints the result. This is the solo reference the
+    /// serving path is pinned against: any replica decoding
+    /// [`Wisdom::decode_request`] for the same request under
+    /// [`Constraint::None`] yields the same suggestion.
     pub fn complete(&self, request: &CompletionRequest) -> Suggestion {
-        self.complete_constrained(request, Constraint::None)
-    }
-
-    /// [`Wisdom::complete`] decoding under `constraint`: every sampled
-    /// token is masked through the compiled grammar, so the suggestion
-    /// parses (and for [`Constraint::Ansible`] lints clean) by
-    /// construction. [`Constraint::None`] is exactly [`Wisdom::complete`].
-    pub fn complete_constrained(
-        &self,
-        request: &CompletionRequest,
-        constraint: Constraint,
-    ) -> Suggestion {
         let ids = self.tokenizer.encode(&request.prompt_text());
         let stops = [self.tokenizer.eot(), self.tokenizer.sep()];
-        let grammar = self.grammar_for(constraint);
-        let out = self.model.generate_constrained(
-            &ids,
-            &stops,
-            &self.generation_options(),
-            grammar.as_ref(),
-            None,
-        );
-        self.suggest(request, &out)
+        let out = self
+            .model
+            .generate(&ids, &stops, &self.generation_options());
+        Suggestion::from_raw(request, &self.tokenizer.decode(&out))
     }
 
-    /// Starts a continuous-batching decode scheduler over this assistant's
-    /// model (one worker multiplexing concurrent requests onto shared
-    /// batched forward passes; see [`BatchScheduler`]). The model weights
-    /// are cloned once into the scheduler, not per request.
-    pub fn scheduler(&self, cfg: BatchConfig) -> BatchScheduler {
-        self.scheduler_with(cfg, None)
-    }
-
-    /// [`Wisdom::scheduler`] with metric handles: the scheduler records
-    /// queue wait, TTFT, per-round decode latency, occupancy, and
-    /// admitted/completed/shed/wakeup counts into `telemetry`.
-    pub fn scheduler_with(
-        &self,
-        cfg: BatchConfig,
-        telemetry: Option<wisdom_model::BatchTelemetry>,
-    ) -> BatchScheduler {
-        self.scheduler_full(cfg, telemetry, None, None)
-    }
-
-    /// [`Wisdom::scheduler_with`] also recording speculative-decoding
-    /// metrics (proposed/accepted/rejected counters, acceptance-length
-    /// histogram, draft-overhead timer) when
-    /// [`BatchConfig::speculative`] is enabled, and weight-quantization
-    /// metrics (resident/saved bytes, quantized-matmul share) into
-    /// `quant_telemetry`. A non-default [`BatchConfig::precision`] converts
-    /// the scheduler's model copy at spawn — this assistant's own model
-    /// stays f32.
-    pub fn scheduler_full(
-        &self,
-        cfg: BatchConfig,
-        telemetry: Option<wisdom_model::BatchTelemetry>,
-        spec_telemetry: Option<wisdom_model::SpeculativeTelemetry>,
-        quant_telemetry: Option<wisdom_model::QuantTelemetry>,
-    ) -> BatchScheduler {
-        self.scheduler_instrumented(cfg, telemetry, spec_telemetry, quant_telemetry, None)
-    }
-
-    /// [`Wisdom::scheduler_full`] also recording grammar-constrained
-    /// decoding metrics (masked-token counts, mask-build latency, cached
-    /// states, forced fast-path hits) into `grammar_telemetry`.
-    pub fn scheduler_instrumented(
-        &self,
-        cfg: BatchConfig,
-        telemetry: Option<wisdom_model::BatchTelemetry>,
-        spec_telemetry: Option<wisdom_model::SpeculativeTelemetry>,
-        quant_telemetry: Option<wisdom_model::QuantTelemetry>,
-        grammar_telemetry: Option<wisdom_model::GrammarTelemetry>,
-    ) -> BatchScheduler {
-        BatchScheduler::spawn_full(
-            Arc::new(self.model.clone()),
-            cfg,
-            telemetry,
-            spec_telemetry,
-            quant_telemetry,
-            grammar_telemetry,
-        )
-    }
-
-    /// Spawns `n` independent [`BatchScheduler`] replicas over this
-    /// assistant's model (one weights `Arc` shared by all f32 replicas),
-    /// attaching `telemetry[i]` to replica `i`. Each replica gets its own
-    /// prefix cache, queue, and decode worker — the serving layer's
-    /// prefix-affinity router places requests across them.
+    /// Spawns `n` independent replicas over one copy of this assistant's
+    /// model, recording replica `i` into `telemetry[i]` (a replica whose
+    /// context carries quantization handles converts its own copy, see
+    /// [`wisdom_model::BatchScheduler::spawn`]). Each replica gets its own prefix cache, queue,
+    /// and decode worker — the serving layer's prefix-affinity router
+    /// places requests across them. A non-default
+    /// [`BatchConfig::precision`] converts each replica's model copy at
+    /// spawn; this assistant's own model stays f32.
     pub fn replica_pool(
         &self,
         cfg: BatchConfig,
         n: usize,
-        telemetry: &[wisdom_model::ReplicaTelemetry],
-    ) -> wisdom_model::ReplicaPool {
-        wisdom_model::ReplicaPool::spawn_with(Arc::new(self.model.clone()), cfg, n, telemetry)
+        telemetry: &[ReplicaTelemetry],
+    ) -> ReplicaPool {
+        ReplicaPool::spawn(Arc::new(self.model.clone()), cfg, n, telemetry)
     }
 
-    /// [`Wisdom::complete`] through a [`BatchScheduler`]: enqueues the
-    /// request and blocks for the result. The suggestion is identical to
-    /// the direct path (batched decode is bit-for-bit deterministic).
-    ///
-    /// # Errors
-    ///
-    /// [`SubmitError::QueueFull`] when the scheduler's bounded queue is at
-    /// capacity (callers shed load, e.g. HTTP 503), [`SubmitError::ShutDown`]
-    /// after scheduler shutdown.
-    pub fn try_complete_batched(
-        &self,
-        request: &CompletionRequest,
-        scheduler: &BatchScheduler,
-    ) -> Result<Suggestion, SubmitError> {
-        self.try_complete_batched_constrained(request, scheduler, Constraint::None)
-    }
-
-    /// [`Wisdom::try_complete_batched`] decoding under `constraint`: the
-    /// submitted request carries the compiled grammar, so the scheduler
-    /// masks every pick through it.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Wisdom::try_complete_batched`].
-    pub fn try_complete_batched_constrained(
-        &self,
-        request: &CompletionRequest,
-        scheduler: &BatchScheduler,
-        constraint: Constraint,
-    ) -> Result<Suggestion, SubmitError> {
-        let pending = scheduler.submit(self.decode_request_constrained(request, constraint))?;
-        Ok(self.suggest(request, &pending.wait()))
-    }
-
-    /// The token-level [`wisdom_model::DecodeRequest`] this assistant would
-    /// decode for `request`: prompt encoding, serving stop tokens, and the
-    /// configured generation options. Submitting it to any scheduler or
-    /// replica yields exactly the tokens [`Wisdom::complete`] decodes —
-    /// this is the request a multi-replica router places.
-    pub fn decode_request(&self, request: &CompletionRequest) -> wisdom_model::DecodeRequest {
-        self.decode_request_constrained(request, Constraint::None)
-    }
-
-    /// [`Wisdom::decode_request`] decoding under `constraint`: the request
-    /// carries the compiled grammar, so whichever scheduler or replica
-    /// decodes it masks every pick through it. The server resolves each
-    /// HTTP request's `"constraint"` field (default: the configured one)
-    /// and builds its decode requests here.
-    pub fn decode_request_constrained(
+    /// The token-level [`DecodeRequest`] this assistant decodes for
+    /// `request` under `constraint`: prompt encoding, serving stop tokens,
+    /// the configured generation options, and the compiled grammar (none
+    /// for [`Constraint::None`]), so whichever replica decodes it masks
+    /// every pick through that grammar. Unconstrained, the tokens any
+    /// replica decodes for it are exactly the ones [`Wisdom::complete`]
+    /// generates. The suggestion for the decoded tokens is
+    /// [`Suggestion::from_raw`] over their text.
+    pub fn decode_request(
         &self,
         request: &CompletionRequest,
         constraint: Constraint,
-    ) -> wisdom_model::DecodeRequest {
-        wisdom_model::DecodeRequest {
+    ) -> DecodeRequest {
+        DecodeRequest {
             prompt: self.tokenizer.encode(&request.prompt_text()),
             stops: vec![self.tokenizer.eot(), self.tokenizer.sep()],
             opts: self.generation_options(),
             grammar: self.grammar_for(constraint),
         }
-    }
-
-    /// Builds the finished [`Suggestion`] for `request` from generated
-    /// token ids (the streaming path accumulates tokens itself and
-    /// finalizes here; identical to what [`Wisdom::complete`] returns for
-    /// the same output).
-    pub fn suggestion_from_tokens(&self, request: &CompletionRequest, out: &[u32]) -> Suggestion {
-        self.suggest(request, out)
     }
 
     /// Decodes a single generated token id to text — the per-event payload

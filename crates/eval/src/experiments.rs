@@ -1224,7 +1224,7 @@ fn run_serving_arm(
         prefix_cache_bytes: budget_bytes,
         ..BatchConfig::default()
     };
-    let pool = Arc::new(ReplicaPool::spawn(Arc::clone(model), cfg, replicas));
+    let pool = Arc::new(ReplicaPool::spawn(Arc::clone(model), cfg, replicas, &[]));
     let router = Router::new(
         Arc::clone(&pool),
         RouterConfig {

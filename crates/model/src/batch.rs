@@ -40,7 +40,7 @@ use wisdom_prng::Prng;
 use crate::decode::{GenerationOptions, Strategy};
 use crate::prefix_cache::{PrefixCacheStats, PrefixKvCache, PrefixPin};
 use crate::speculative::{adapt_draft_len, verify_draft, SpeculativeConfig, Speculator};
-use crate::telemetry::{BatchTelemetry, GrammarTelemetry, QuantTelemetry, SpeculativeTelemetry};
+use crate::telemetry::{BatchTelemetry, ReplicaTelemetry};
 use crate::transformer::{pick_token, KvCache, Precision, TransformerLm};
 
 /// One generation request at the token level.
@@ -154,74 +154,42 @@ pub struct DecodeBatch<'m> {
     seqs: Vec<Seq>,
     /// Shared prefix KV cache consulted/populated at admission (optional).
     prefix_cache: Option<Arc<PrefixKvCache>>,
-    /// Metric handles; `None` keeps the hot path entirely uninstrumented.
-    telemetry: Option<BatchTelemetry>,
-    /// Speculation sizing; disabled by default, in which case no sequence
-    /// ever gets a drafter and the decode path is unchanged.
+    /// Speculation sizing; when disabled no sequence ever gets a drafter
+    /// and the decode path is unchanged.
     speculation: SpeculativeConfig,
-    /// Speculation metric handles (verify counters, acceptance histogram,
-    /// draft-overhead timer).
-    spec_telemetry: Option<SpeculativeTelemetry>,
-    /// Grammar metric handles (masked-token counter, mask-build latency,
-    /// cached states, forced-token fast-path hits).
-    grammar_telemetry: Option<GrammarTelemetry>,
+    /// Metric handles; absent ones keep that part of the hot path entirely
+    /// uninstrumented.
+    telemetry: ReplicaTelemetry,
 }
 
 impl<'m> DecodeBatch<'m> {
     /// An empty batch over `model`.
-    pub fn new(model: &'m TransformerLm) -> Self {
+    ///
+    /// * `prefix_cache`: admissions reuse (and feed) the cache, so prompt
+    ///   windows prefill only the suffix past the longest cached prefix.
+    ///   Cached K/V rows are exact copies of what a cold prefill computes at
+    ///   those positions.
+    /// * `speculation`: admitted greedy sequences each get their own
+    ///   drafter, warmed on their prompt window
+    ///   (`tests/speculative_agreement.rs`).
+    /// * `telemetry`: admissions, decode rounds, retirements, speculation
+    ///   verify passes, and grammar masks are recorded into its batch,
+    ///   speculative, and grammar handles.
+    ///
+    /// None of the three changes a generated token — only what it costs.
+    pub fn new(
+        model: &'m TransformerLm,
+        prefix_cache: Option<Arc<PrefixKvCache>>,
+        speculation: SpeculativeConfig,
+        telemetry: ReplicaTelemetry,
+    ) -> Self {
         Self {
             model,
             seqs: Vec::new(),
-            prefix_cache: None,
-            telemetry: None,
-            speculation: SpeculativeConfig::disabled(),
-            spec_telemetry: None,
-            grammar_telemetry: None,
+            prefix_cache,
+            speculation,
+            telemetry,
         }
-    }
-
-    /// An empty batch whose admissions reuse (and feed) `cache`: prompt
-    /// windows prefill only the suffix past the longest cached prefix.
-    /// Outputs stay bit-identical to [`Self::new`] — cached K/V rows are
-    /// exact copies of what a cold prefill computes at those positions.
-    pub fn with_prefix_cache(model: &'m TransformerLm, cache: Arc<PrefixKvCache>) -> Self {
-        Self {
-            model,
-            seqs: Vec::new(),
-            prefix_cache: Some(cache),
-            telemetry: None,
-            speculation: SpeculativeConfig::disabled(),
-            spec_telemetry: None,
-            grammar_telemetry: None,
-        }
-    }
-
-    /// Attaches metric handles: admissions, decode rounds, and retirements
-    /// are recorded from here on. Generated tokens are unaffected.
-    pub fn set_telemetry(&mut self, telemetry: BatchTelemetry) {
-        self.telemetry = Some(telemetry);
-    }
-
-    /// Enables speculative decoding for subsequently admitted greedy
-    /// sequences (each gets its own drafter, warmed on its prompt window).
-    /// Generated tokens are unaffected — only the number of forward passes
-    /// they cost changes (`tests/speculative_agreement.rs`).
-    pub fn set_speculation(&mut self, cfg: SpeculativeConfig) {
-        self.speculation = cfg;
-    }
-
-    /// Attaches speculation metric handles (proposed/accepted/rejected
-    /// counters, acceptance-length histogram, draft-overhead timer).
-    pub fn set_speculative_telemetry(&mut self, telemetry: SpeculativeTelemetry) {
-        self.spec_telemetry = Some(telemetry);
-    }
-
-    /// Attaches grammar metric handles (masked-token counter, mask-build
-    /// latency histogram, cached-state gauge, forced fast-path counter).
-    /// Generated tokens are unaffected.
-    pub fn set_grammar_telemetry(&mut self, telemetry: GrammarTelemetry) {
-        self.grammar_telemetry = Some(telemetry);
     }
 
     /// Number of sequences currently in flight.
@@ -280,7 +248,7 @@ impl<'m> DecodeBatch<'m> {
             "beam requests take the direct generate path"
         );
         let started = submitted.unwrap_or_else(Instant::now);
-        if let Some(t) = &self.telemetry {
+        if let Some(t) = &self.telemetry.batch {
             if let Some(at) = submitted {
                 t.queue_wait.observe(at.elapsed().as_secs_f64());
             }
@@ -342,7 +310,7 @@ impl<'m> DecodeBatch<'m> {
             grammar,
             sink,
         });
-        if let Some(t) = &self.telemetry {
+        if let Some(t) = &self.telemetry.batch {
             t.batch_occupancy.set(self.seqs.len() as f64);
         }
     }
@@ -358,9 +326,9 @@ impl<'m> DecodeBatch<'m> {
     pub fn step(&mut self) -> Vec<(usize, Vec<u32>)> {
         let ctx = self.model.config().context_window;
         let model = self.model;
-        let telemetry = self.telemetry.as_ref();
-        let spec_telemetry = self.spec_telemetry.as_ref();
-        let grammar_telemetry = self.grammar_telemetry.as_ref();
+        let telemetry = self.telemetry.batch.as_ref();
+        let spec_telemetry = self.telemetry.speculative.as_ref();
+        let grammar_telemetry = self.telemetry.grammar.as_ref();
         // Dense-batch backoff: once the live batch outgrows the configured
         // bound, the batched step already amortizes the weight traffic
         // across rows, so per-sequence verify passes stop paying off and
@@ -543,8 +511,8 @@ pub fn generate_batch_with(
         requests,
         max_batch_size,
         prefix_cache,
-        None,
         SpeculativeConfig::disabled(),
+        ReplicaTelemetry::default(),
     )
 }
 
@@ -565,8 +533,8 @@ pub fn generate_batch_speculative(
         requests,
         max_batch_size,
         prefix_cache,
-        None,
         speculative,
+        ReplicaTelemetry::default(),
     )
 }
 
@@ -586,8 +554,11 @@ pub fn generate_batch_instrumented(
         requests,
         max_batch_size,
         prefix_cache,
-        Some(telemetry),
         SpeculativeConfig::disabled(),
+        ReplicaTelemetry {
+            batch: Some(telemetry),
+            ..ReplicaTelemetry::default()
+        },
     )
 }
 
@@ -596,20 +567,13 @@ fn generate_batch_inner(
     requests: Vec<DecodeRequest>,
     max_batch_size: usize,
     prefix_cache: Option<Arc<PrefixKvCache>>,
-    telemetry: Option<BatchTelemetry>,
     speculative: SpeculativeConfig,
+    telemetry: ReplicaTelemetry,
 ) -> Vec<Vec<u32>> {
     let cap = max_batch_size.max(1);
     let mut results: Vec<Vec<u32>> = vec![Vec::new(); requests.len()];
     let mut queue = requests.into_iter().enumerate();
-    let mut engine = match prefix_cache {
-        Some(cache) => DecodeBatch::with_prefix_cache(model, cache),
-        None => DecodeBatch::new(model),
-    };
-    engine.set_speculation(speculative);
-    if let Some(t) = telemetry {
-        engine.set_telemetry(t);
-    }
+    let mut engine = DecodeBatch::new(model, prefix_cache, speculative, telemetry);
     loop {
         while engine.len() < cap {
             let Some((tag, req)) = queue.next() else {
@@ -700,10 +664,20 @@ pub struct Pending {
 }
 
 impl Pending {
-    /// Blocks until the request finishes. Returns an empty output if the
-    /// scheduler shut down before decoding it.
+    /// Blocks until the request finishes.
+    ///
+    /// # Errors
+    ///
+    /// [`SubmitError::ShutDown`] when the result is lost: the reply channel
+    /// closed because the scheduler shut down (or its worker exited) before
+    /// the request finished decoding.
+    pub fn wait_checked(self) -> Result<Vec<u32>, SubmitError> {
+        self.rx.recv().map_err(|_| SubmitError::ShutDown)
+    }
+
+    /// [`Self::wait_checked`] reading a lost result as an empty output.
     pub fn wait(self) -> Vec<u32> {
-        self.rx.recv().unwrap_or_default()
+        self.wait_checked().unwrap_or_default()
     }
 }
 
@@ -748,8 +722,9 @@ struct Shared {
     /// Times the worker's condvar wait returned — each one is a wakeup out
     /// of idle (submission, pause toggle, or shutdown), not a poll tick.
     wakeups: AtomicU64,
-    /// Set by the worker thread once its decode loop is running; readiness
-    /// probes (`GET /readyz`) read this without touching the model.
+    /// Set by the worker thread while its decode loop is running (cleared
+    /// when the loop exits, by shutdown or panic); readiness probes
+    /// (`GET /readyz`) read this without touching the model.
     worker_ready: AtomicBool,
 }
 
@@ -784,61 +759,41 @@ pub struct BatchScheduler {
 impl BatchScheduler {
     /// Starts the decode worker over `model`. A nonzero
     /// [`BatchConfig::prefix_cache_bytes`] enables a shared prefix KV cache
-    /// that admissions consult and populate.
-    pub fn spawn(model: Arc<TransformerLm>, cfg: BatchConfig) -> Self {
-        Self::spawn_with(model, cfg, None)
-    }
-
-    /// [`Self::spawn`] with metric handles: the worker and the submission
-    /// path record queue wait, TTFT, per-round decode latency, occupancy,
-    /// and admitted/completed/shed/wakeup counts into `telemetry`.
-    pub fn spawn_with(
-        model: Arc<TransformerLm>,
-        cfg: BatchConfig,
-        telemetry: Option<BatchTelemetry>,
-    ) -> Self {
-        Self::spawn_full(model, cfg, telemetry, None, None, None)
-    }
-
-    /// [`Self::spawn_with`] also recording speculation metrics (verify
-    /// counters, acceptance-length histogram, draft-overhead timer) when
-    /// [`BatchConfig::speculative`] is enabled, and quantization metrics
-    /// (weight bytes saved, quantized-matmul share) into `quant_telemetry`.
-    ///
-    /// When [`BatchConfig::precision`] differs from the model's current
+    /// that admissions consult and populate. When
+    /// [`BatchConfig::precision`] differs from the model's current
     /// precision, the scheduler's copy of the model is converted once here
     /// (the caller's model is untouched).
-    pub fn spawn_full(
-        model: Arc<TransformerLm>,
-        cfg: BatchConfig,
-        telemetry: Option<BatchTelemetry>,
-        spec_telemetry: Option<SpeculativeTelemetry>,
-        quant_telemetry: Option<QuantTelemetry>,
-        grammar_telemetry: Option<GrammarTelemetry>,
-    ) -> Self {
+    ///
+    /// The worker, the submission path, the prefix cache, and the model
+    /// copy record into `telemetry`: queue wait, TTFT, per-round decode
+    /// latency, occupancy, admitted/completed/shed/wakeup counts, cache
+    /// hits and bytes, speculation verify passes, quantized-matmul share,
+    /// and grammar masks.
+    pub fn spawn(model: Arc<TransformerLm>, cfg: BatchConfig, telemetry: ReplicaTelemetry) -> Self {
         let cfg = BatchConfig {
             max_batch_size: cfg.max_batch_size.max(1),
             queue_depth: cfg.queue_depth.max(1),
-            prefix_cache_bytes: cfg.prefix_cache_bytes,
-            speculative: cfg.speculative,
-            precision: cfg.precision,
-            constraint: cfg.constraint,
+            ..cfg
         };
-        let model = if model.precision() != cfg.precision || quant_telemetry.is_some() {
+        let quant = &telemetry.quant;
+        let model = if model.precision() != cfg.precision || quant.is_some() {
             let mut m = (*model).clone();
             m.set_precision(cfg.precision);
-            m.set_quant_telemetry(quant_telemetry.clone());
+            m.set_quant_telemetry(quant.clone());
             Arc::new(m)
         } else {
             model
         };
-        if let Some(qt) = &quant_telemetry {
+        if let Some(qt) = quant {
             qt.weight_bytes.set(model.quant_weight_bytes() as f64);
             qt.weight_bytes_saved
                 .set(model.quant_weight_bytes_saved() as f64);
         }
         let prefix_cache = (cfg.prefix_cache_bytes > 0)
             .then(|| Arc::new(PrefixKvCache::with_budget(cfg.prefix_cache_bytes)));
+        if let (Some(cache), Some(t)) = (&prefix_cache, &telemetry.prefix_cache) {
+            cache.set_telemetry(t.clone());
+        }
         let shared = Arc::new(Shared {
             state: Mutex::new(SchedulerState {
                 jobs: VecDeque::new(),
@@ -851,30 +806,20 @@ impl BatchScheduler {
             wakeups: AtomicU64::new(0),
             worker_ready: AtomicBool::new(false),
         });
+        let batch_telemetry = telemetry.batch.clone();
         let worker_shared = Arc::clone(&shared);
         let worker_model = Arc::clone(&model);
         let worker_cache = prefix_cache.clone();
-        let worker_telemetry = telemetry.clone();
         let worker = std::thread::Builder::new()
             .name("wisdom-decode".to_string())
-            .spawn(move || {
-                worker_loop(
-                    &worker_model,
-                    &worker_shared,
-                    cfg,
-                    worker_cache,
-                    worker_telemetry,
-                    spec_telemetry,
-                    grammar_telemetry,
-                )
-            })
+            .spawn(move || worker_loop(&worker_model, &worker_shared, cfg, worker_cache, telemetry))
             .expect("spawn decode worker");
         Self {
             shared,
             model,
             cfg,
             prefix_cache,
-            telemetry,
+            telemetry: batch_telemetry,
             worker: Some(worker),
         }
     }
@@ -904,9 +849,10 @@ impl BatchScheduler {
         }
     }
 
-    /// Whether the decode worker's loop is up and serving. False only in
-    /// the startup window between `spawn` and the worker's first iteration
-    /// (readiness probes return 503 until then).
+    /// Whether the decode worker's loop is up and serving. False in the
+    /// startup window between `spawn` and the worker's first iteration, and
+    /// again once the loop exits — after [`Self::shutdown`] or a worker
+    /// panic (readiness probes return 503 then).
     pub fn worker_ready(&self) -> bool {
         self.shared.worker_ready.load(Ordering::Acquire)
     }
@@ -1061,13 +1007,13 @@ impl BatchScheduler {
         self.shared.job_ready.notify_all();
     }
 
-    /// Asks the worker to stop. Queued and in-flight requests resolve to
-    /// empty outputs; later submissions fail with [`SubmitError::ShutDown`].
+    /// Asks the worker to stop. Queued and in-flight requests resolve as
+    /// lost ([`Pending::wait_checked`] reports [`SubmitError::ShutDown`]);
+    /// later submissions fail with [`SubmitError::ShutDown`].
     pub fn shutdown(&self) {
         let mut state = self.shared.state.lock().expect("scheduler lock");
         state.shutdown = true;
-        // Dropping the queued reply senders resolves their waiters with an
-        // empty output.
+        // Dropping the queued reply senders resolves their waiters as lost.
         state.jobs.clear();
         self.shared.job_ready.notify_all();
         self.shared.space_free.notify_all();
@@ -1091,33 +1037,29 @@ impl fmt::Debug for BatchScheduler {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Clears the worker's readiness flag when the decode loop exits, whether
+/// it returns at shutdown or unwinds from a panic.
+struct ReadyGuard<'a>(&'a AtomicBool);
+
+impl Drop for ReadyGuard<'_> {
+    fn drop(&mut self) {
+        self.0.store(false, Ordering::Release);
+    }
+}
+
 fn worker_loop(
     model: &TransformerLm,
     shared: &Shared,
     cfg: BatchConfig,
     prefix_cache: Option<Arc<PrefixKvCache>>,
-    telemetry: Option<BatchTelemetry>,
-    spec_telemetry: Option<SpeculativeTelemetry>,
-    grammar_telemetry: Option<GrammarTelemetry>,
+    telemetry: ReplicaTelemetry,
 ) {
-    let mut engine = match prefix_cache {
-        Some(cache) => DecodeBatch::with_prefix_cache(model, cache),
-        None => DecodeBatch::new(model),
-    };
-    if let Some(t) = &telemetry {
-        engine.set_telemetry(t.clone());
-    }
-    engine.set_speculation(cfg.speculative);
-    if let Some(t) = spec_telemetry {
-        engine.set_speculative_telemetry(t);
-    }
-    if let Some(t) = grammar_telemetry {
-        engine.set_grammar_telemetry(t);
-    }
+    let batch_telemetry = telemetry.batch.clone();
+    let mut engine = DecodeBatch::new(model, prefix_cache, cfg.speculative, telemetry);
     let mut next_tag = 0usize;
     let mut replies: HashMap<usize, mpsc::Sender<Vec<u32>>> = HashMap::new();
     shared.worker_ready.store(true, Ordering::Release);
+    let _ready = ReadyGuard(&shared.worker_ready);
     loop {
         // Admission happens between decode steps: take whatever is waiting,
         // up to the batch cap, without stalling running sequences. The idle
@@ -1129,7 +1071,7 @@ fn worker_loop(
             loop {
                 if state.shutdown {
                     // Dropping the queued and in-flight reply senders
-                    // resolves every waiter with an empty output.
+                    // resolves every waiter as lost.
                     state.jobs.clear();
                     return;
                 }
@@ -1138,7 +1080,7 @@ fn worker_loop(
                 }
                 state = shared.job_ready.wait(state).expect("scheduler lock");
                 shared.wakeups.fetch_add(1, Ordering::Relaxed);
-                if let Some(t) = &telemetry {
+                if let Some(t) = &batch_telemetry {
                     t.wakeups.inc();
                 }
             }
@@ -1153,7 +1095,7 @@ fn worker_loop(
                 if !taken.is_empty() {
                     shared.space_free.notify_all();
                 }
-                if let Some(t) = &telemetry {
+                if let Some(t) = &batch_telemetry {
                     t.queue_depth.set(state.jobs.len() as f64);
                 }
             }
@@ -1181,6 +1123,7 @@ fn worker_loop(
 mod tests {
     use super::*;
     use crate::config::ModelConfig;
+    use crate::telemetry::{QuantTelemetry, SpeculativeTelemetry};
 
     fn tiny_model() -> TransformerLm {
         let cfg = ModelConfig {
@@ -1224,7 +1167,11 @@ mod tests {
     #[test]
     fn scheduler_round_trips_requests() {
         let model = Arc::new(tiny_model());
-        let sched = BatchScheduler::spawn(Arc::clone(&model), BatchConfig::default());
+        let sched = BatchScheduler::spawn(
+            Arc::clone(&model),
+            BatchConfig::default(),
+            ReplicaTelemetry::default(),
+        );
         let out = sched.generate(&[1, 2, 3], &[0], &greedy(5));
         let solo = model.generate(&[1, 2, 3], &[0], &greedy(5));
         assert_eq!(out, solo);
@@ -1240,6 +1187,7 @@ mod tests {
                 queue_depth: 2,
                 ..BatchConfig::default()
             },
+            ReplicaTelemetry::default(),
         );
         sched.set_admission_paused(true);
         let req = || DecodeRequest {
@@ -1260,7 +1208,8 @@ mod tests {
     #[test]
     fn scheduler_shutdown_resolves_waiters() {
         let model = Arc::new(tiny_model());
-        let sched = BatchScheduler::spawn(model, BatchConfig::default());
+        let sched =
+            BatchScheduler::spawn(model, BatchConfig::default(), ReplicaTelemetry::default());
         sched.set_admission_paused(true);
         let pending = sched
             .submit(DecodeRequest {
@@ -1270,8 +1219,17 @@ mod tests {
                 grammar: None,
             })
             .expect("queued");
+        let lost = sched
+            .submit(DecodeRequest {
+                prompt: vec![2],
+                stops: vec![],
+                opts: greedy(4),
+                grammar: None,
+            })
+            .expect("queued");
         sched.shutdown();
         assert_eq!(pending.wait(), Vec::<u32>::new());
+        assert_eq!(lost.wait_checked(), Err(SubmitError::ShutDown));
         assert_eq!(
             sched
                 .submit(DecodeRequest {
@@ -1288,7 +1246,11 @@ mod tests {
     #[test]
     fn scheduler_reports_stats_and_prefix_hits() {
         let model = Arc::new(tiny_model());
-        let sched = BatchScheduler::spawn(Arc::clone(&model), BatchConfig::default());
+        let sched = BatchScheduler::spawn(
+            Arc::clone(&model),
+            BatchConfig::default(),
+            ReplicaTelemetry::default(),
+        );
         let idle = sched.stats();
         assert_eq!((idle.queue_depth, idle.in_flight), (0, 0));
         let cache_stats = idle.prefix_cache.expect("cache enabled by default");
@@ -1310,6 +1272,7 @@ mod tests {
                 prefix_cache_bytes: 0,
                 ..BatchConfig::default()
             },
+            ReplicaTelemetry::default(),
         );
         assert!(plain.stats().prefix_cache.is_none());
         assert!(plain.prefix_cache().is_none());
@@ -1320,14 +1283,17 @@ mod tests {
         let registry = wisdom_telemetry::Registry::new();
         let telemetry = BatchTelemetry::register(&registry);
         let model = Arc::new(tiny_model());
-        let sched = BatchScheduler::spawn_with(
+        let sched = BatchScheduler::spawn(
             Arc::clone(&model),
             BatchConfig {
                 max_batch_size: 2,
                 queue_depth: 1,
                 ..BatchConfig::default()
             },
-            Some(telemetry.clone()),
+            ReplicaTelemetry {
+                batch: Some(telemetry.clone()),
+                ..ReplicaTelemetry::default()
+            },
         );
         // The ready flag flips once the worker loop is up.
         while !sched.worker_ready() {
@@ -1412,16 +1378,16 @@ mod tests {
         // Through the scheduler, with metric handles attached.
         let registry = wisdom_telemetry::Registry::new();
         let spec_telemetry = SpeculativeTelemetry::register(&registry);
-        let sched = BatchScheduler::spawn_full(
+        let sched = BatchScheduler::spawn(
             Arc::new(model),
             BatchConfig {
                 speculative: SpeculativeConfig::self_draft(3),
                 ..BatchConfig::default()
             },
-            None,
-            Some(spec_telemetry.clone()),
-            None,
-            None,
+            ReplicaTelemetry {
+                speculative: Some(spec_telemetry.clone()),
+                ..ReplicaTelemetry::default()
+            },
         );
         let out = sched.generate(&[1, 2, 3, 1, 2, 3], &[0], &greedy(8));
         assert_eq!(out, plain[0]);
@@ -1444,16 +1410,16 @@ mod tests {
         let model = Arc::new(tiny_model());
         let registry = wisdom_telemetry::Registry::new();
         let qt = QuantTelemetry::register(&registry);
-        let sched = BatchScheduler::spawn_full(
+        let sched = BatchScheduler::spawn(
             Arc::clone(&model),
             BatchConfig {
                 precision: Precision::Int8,
                 ..BatchConfig::default()
             },
-            None,
-            None,
-            Some(qt.clone()),
-            None,
+            ReplicaTelemetry {
+                quant: Some(qt.clone()),
+                ..ReplicaTelemetry::default()
+            },
         );
         assert_eq!(sched.config().precision, Precision::Int8);
         assert!(qt.weight_bytes.get() > 0.0);
@@ -1499,7 +1465,11 @@ mod tests {
     #[test]
     fn streamed_tokens_match_the_pending_result() {
         let model = Arc::new(tiny_model());
-        let sched = BatchScheduler::spawn(Arc::clone(&model), BatchConfig::default());
+        let sched = BatchScheduler::spawn(
+            Arc::clone(&model),
+            BatchConfig::default(),
+            ReplicaTelemetry::default(),
+        );
         let req = |p: &[u32]| DecodeRequest {
             prompt: p.to_vec(),
             stops: vec![0],
@@ -1527,7 +1497,11 @@ mod tests {
     #[test]
     fn streaming_beam_requests_deliver_whole_output() {
         let model = Arc::new(tiny_model());
-        let sched = BatchScheduler::spawn(Arc::clone(&model), BatchConfig::default());
+        let sched = BatchScheduler::spawn(
+            Arc::clone(&model),
+            BatchConfig::default(),
+            ReplicaTelemetry::default(),
+        );
         let opts = GenerationOptions {
             max_new_tokens: 4,
             strategy: Strategy::Beam { width: 2 },
@@ -1550,7 +1524,11 @@ mod tests {
     #[test]
     fn beam_requests_take_the_direct_path() {
         let model = Arc::new(tiny_model());
-        let sched = BatchScheduler::spawn(Arc::clone(&model), BatchConfig::default());
+        let sched = BatchScheduler::spawn(
+            Arc::clone(&model),
+            BatchConfig::default(),
+            ReplicaTelemetry::default(),
+        );
         let opts = GenerationOptions {
             max_new_tokens: 4,
             strategy: Strategy::Beam { width: 2 },

@@ -49,14 +49,15 @@ pub use ngram::{NgramLm, NgramTextGenerator};
 pub use prefix_cache::{
     CachedPrefix, PrefixCacheConfig, PrefixCacheStats, PrefixKvCache, PrefixPin,
 };
-pub use replica::{PoolStats, ReplicaPool, ReplicaTelemetry};
+pub use replica::{PoolStats, ReplicaPool};
 pub use retrieval::RetrievalModel;
 pub use speculative::{
     DraftKind, NgramSpeculator, SelfDraftSpeculator, SpeculativeConfig, SpeculativeDecoder,
     SpeculativeReport, Speculator,
 };
 pub use telemetry::{
-    BatchTelemetry, GrammarTelemetry, PrefixCacheTelemetry, QuantTelemetry, SpeculativeTelemetry,
+    BatchTelemetry, GrammarTelemetry, PrefixCacheTelemetry, QuantTelemetry, ReplicaTelemetry,
+    SpeculativeTelemetry,
 };
 // Re-exported so the serving layers (`wisdom-core`, `wisdom-server`) can
 // build and attach grammar constraints without a direct `wisdom-grammar`

@@ -19,28 +19,8 @@ use std::sync::Arc;
 
 use crate::batch::{BatchConfig, BatchScheduler, SchedulerStats};
 use crate::prefix_cache::PrefixCacheStats;
-use crate::telemetry::{
-    BatchTelemetry, GrammarTelemetry, PrefixCacheTelemetry, QuantTelemetry, SpeculativeTelemetry,
-};
+use crate::telemetry::ReplicaTelemetry;
 use crate::transformer::TransformerLm;
-
-/// Per-replica metric handles, typically registered with a
-/// `replica="<i>"` label so one registry exposes every replica's series
-/// side by side. All handles are optional; a default bundle leaves the
-/// replica uninstrumented.
-#[derive(Debug, Clone, Default)]
-pub struct ReplicaTelemetry {
-    /// Scheduler metrics (queue wait, TTFT, per-round decode latency, …).
-    pub batch: Option<BatchTelemetry>,
-    /// Prefix-cache metrics, attached to the replica's own cache.
-    pub prefix_cache: Option<PrefixCacheTelemetry>,
-    /// Speculative-decoding metrics.
-    pub speculative: Option<SpeculativeTelemetry>,
-    /// Quantization metrics.
-    pub quant: Option<QuantTelemetry>,
-    /// Grammar-constrained-decoding metrics.
-    pub grammar: Option<GrammarTelemetry>,
-}
 
 /// Aggregated load across a pool, plus the per-replica snapshots it was
 /// summed from. Served by `GET /v1/stats` on multi-replica servers.
@@ -62,47 +42,33 @@ pub struct PoolStats {
 
 /// N independent continuous-batching schedulers over one shared model.
 ///
-/// Spawning converts the model per replica only when
-/// [`BatchConfig::precision`] requires it (the schedulers share one `Arc`
-/// otherwise), so an f32 pool costs one copy of the weights total.
+/// Spawning copies the model per replica only when
+/// [`BatchConfig::precision`] requires a conversion or the replica's
+/// [`ReplicaTelemetry`] carries quantization handles (the matmul counters
+/// live on the model); otherwise the schedulers share one `Arc`, so an
+/// uninstrumented f32 pool costs one copy of the weights total.
 pub struct ReplicaPool {
     replicas: Vec<BatchScheduler>,
 }
 
 impl ReplicaPool {
-    /// Spawns `n` (at least 1) uninstrumented replicas, each configured
-    /// with `cfg` — so each gets its *own* prefix cache of
-    /// `cfg.prefix_cache_bytes` bytes, its own queue of `cfg.queue_depth`
-    /// slots, and its own decode worker.
-    pub fn spawn(model: Arc<TransformerLm>, cfg: BatchConfig, n: usize) -> Self {
-        Self::spawn_with(model, cfg, n, &[])
-    }
-
-    /// [`Self::spawn`] attaching `telemetry[i]` to replica `i` (missing
-    /// entries leave that replica uninstrumented).
-    pub fn spawn_with(
+    /// Spawns `n` (at least 1) replicas, each configured with `cfg` — so
+    /// each gets its *own* prefix cache of `cfg.prefix_cache_bytes` bytes,
+    /// its own queue of `cfg.queue_depth` slots, and its own decode worker
+    /// — and records replica `i` into `telemetry[i]` (missing entries leave
+    /// that replica uninstrumented).
+    pub fn spawn(
         model: Arc<TransformerLm>,
         cfg: BatchConfig,
         n: usize,
         telemetry: &[ReplicaTelemetry],
     ) -> Self {
-        let n = n.max(1);
-        let mut replicas = Vec::with_capacity(n);
-        for i in 0..n {
-            let t = telemetry.get(i).cloned().unwrap_or_default();
-            let scheduler = BatchScheduler::spawn_full(
-                Arc::clone(&model),
-                cfg,
-                t.batch,
-                t.speculative,
-                t.quant,
-                t.grammar,
-            );
-            if let (Some(pc), Some(cache)) = (t.prefix_cache, scheduler.prefix_cache()) {
-                cache.set_telemetry(pc);
-            }
-            replicas.push(scheduler);
-        }
+        let replicas = (0..n.max(1))
+            .map(|i| {
+                let t = telemetry.get(i).cloned().unwrap_or_default();
+                BatchScheduler::spawn(Arc::clone(&model), cfg, t)
+            })
+            .collect();
         Self { replicas }
     }
 
@@ -161,7 +127,8 @@ impl ReplicaPool {
         agg
     }
 
-    /// Whether every replica's decode worker is up and serving (readiness).
+    /// Whether every replica's decode worker is up and serving (readiness):
+    /// false until all workers start, and again once any worker exits.
     pub fn worker_ready(&self) -> bool {
         self.replicas.iter().all(BatchScheduler::worker_ready)
     }
@@ -174,8 +141,9 @@ impl ReplicaPool {
         }
     }
 
-    /// Shuts every replica down; queued and in-flight requests resolve to
-    /// empty outputs.
+    /// Shuts every replica down; queued and in-flight requests resolve as
+    /// lost ([`crate::Pending::wait_checked`] reports
+    /// [`crate::SubmitError::ShutDown`]).
     pub fn shutdown(&self) {
         for r in &self.replicas {
             r.shutdown();
@@ -221,7 +189,7 @@ mod tests {
     #[test]
     fn every_replica_matches_solo_generate() {
         let model = Arc::new(tiny_model());
-        let pool = ReplicaPool::spawn(Arc::clone(&model), BatchConfig::default(), 3);
+        let pool = ReplicaPool::spawn(Arc::clone(&model), BatchConfig::default(), 3, &[]);
         assert_eq!(pool.len(), 3);
         let solo = model.generate(&[1, 2, 3, 4], &[0], &greedy(5));
         for i in 0..pool.len() {
@@ -236,7 +204,7 @@ mod tests {
     #[test]
     fn replicas_have_independent_caches_and_queues() {
         let model = Arc::new(tiny_model());
-        let pool = ReplicaPool::spawn(Arc::clone(&model), BatchConfig::default(), 2);
+        let pool = ReplicaPool::spawn(Arc::clone(&model), BatchConfig::default(), 2, &[]);
         // Warm replica 0 only; replica 1's cache must stay untouched.
         pool.replica(0).generate(&[1, 2, 3, 4, 5], &[0], &greedy(3));
         pool.replica(0).generate(&[1, 2, 3, 4, 5], &[0], &greedy(3));
@@ -260,7 +228,7 @@ mod tests {
     #[test]
     fn pool_streaming_matches_result() {
         let model = Arc::new(tiny_model());
-        let pool = ReplicaPool::spawn(Arc::clone(&model), BatchConfig::default(), 2);
+        let pool = ReplicaPool::spawn(Arc::clone(&model), BatchConfig::default(), 2, &[]);
         let req = DecodeRequest {
             prompt: vec![1, 2, 3],
             stops: vec![0],
@@ -280,11 +248,20 @@ mod tests {
     #[test]
     fn pool_shutdown_and_readiness() {
         let model = Arc::new(tiny_model());
-        let pool = ReplicaPool::spawn(model, BatchConfig::default(), 2);
+        let pool = ReplicaPool::spawn(model, BatchConfig::default(), 2, &[]);
         while !pool.worker_ready() {
             std::thread::yield_now();
         }
         pool.shutdown();
+        // Readiness clears once the workers exit.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while pool.worker_ready() {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "a shut-down pool must stop reporting ready"
+            );
+            std::thread::yield_now();
+        }
         let err = pool
             .replica(0)
             .submit(DecodeRequest {

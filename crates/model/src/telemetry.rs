@@ -2,14 +2,34 @@
 //!
 //! The serving stack owns one [`wisdom_telemetry::Registry`]; these bundles
 //! are the pre-resolved `Arc` handles the hot path records into, so a decode
-//! step never touches the registry lock. Both bundles are optional
-//! everywhere they are accepted — the uninstrumented path stays exactly as
-//! fast as before (`wisdom-eval`'s `-- telemetry` experiment measures the
-//! instrumented/plain gap and pins it under 1%).
+//! step never touches the registry lock. Every decode layer (the
+//! [`crate::DecodeBatch`] engine, [`crate::BatchScheduler`], and
+//! [`crate::ReplicaPool`]) takes one [`ReplicaTelemetry`] context grouping
+//! the five bundles; each handle in it is optional, and the uninstrumented
+//! path stays exactly as fast as before (`wisdom-eval`'s `-- telemetry`
+//! experiment measures the instrumented/plain gap and pins it under 1%).
 
 use std::sync::Arc;
 
 use wisdom_telemetry::{Counter, Gauge, Histogram, Registry};
+
+/// The telemetry context of one decode replica, typically registered with a
+/// `replica="<i>"` label so one registry exposes every replica's series
+/// side by side. All handles are optional; the default context leaves the
+/// replica uninstrumented.
+#[derive(Debug, Clone, Default)]
+pub struct ReplicaTelemetry {
+    /// Scheduler metrics (queue wait, TTFT, per-round decode latency, …).
+    pub batch: Option<BatchTelemetry>,
+    /// Prefix-cache metrics, attached to the replica's own cache.
+    pub prefix_cache: Option<PrefixCacheTelemetry>,
+    /// Speculative-decoding metrics.
+    pub speculative: Option<SpeculativeTelemetry>,
+    /// Quantization metrics.
+    pub quant: Option<QuantTelemetry>,
+    /// Grammar-constrained-decoding metrics.
+    pub grammar: Option<GrammarTelemetry>,
+}
 
 /// Handles for the continuous-batching scheduler and decode engine.
 /// Cloning shares the underlying metrics.

@@ -8,7 +8,7 @@ use std::sync::{Arc, OnceLock};
 use proptest::prelude::*;
 use wisdom_model::{
     generate_batch, BatchConfig, BatchScheduler, DecodeBatch, DecodeRequest, GenerationOptions,
-    ModelConfig, Strategy, TransformerLm,
+    ModelConfig, ReplicaTelemetry, SpeculativeConfig, Strategy, TransformerLm,
 };
 use wisdom_prng::Prng;
 
@@ -119,7 +119,12 @@ fn continuous_admission_mid_decode_is_invisible() {
     // Admit a second sequence after the first has already decoded a few
     // tokens — the late joiner and the incumbent must both be unaffected.
     let model = tiny_model();
-    let mut engine = DecodeBatch::new(model);
+    let mut engine = DecodeBatch::new(
+        model,
+        None,
+        SpeculativeConfig::disabled(),
+        ReplicaTelemetry::default(),
+    );
     engine.admit(0, request(&[1, 2, 3], greedy(8)));
     let mut finished = Vec::new();
     for round in 0..8 {
@@ -153,6 +158,7 @@ fn scheduler_under_concurrent_submissions_matches_solo() {
             queue_depth: 32,
             ..BatchConfig::default()
         },
+        ReplicaTelemetry::default(),
     );
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..12u32)

@@ -18,8 +18,8 @@ use proptest::prelude::*;
 use wisdom_ansible::{lint_str, LintTarget};
 use wisdom_model::{
     generate_batch, pretrain, BatchConfig, BatchScheduler, Constraint, DecodeRequest,
-    GenerationOptions, GrammarCursor, GrammarIndex, ModelConfig, PretrainConfig, SpeculativeConfig,
-    SpeculativeDecoder, Strategy, TransformerLm,
+    GenerationOptions, GrammarCursor, GrammarIndex, ModelConfig, PretrainConfig, ReplicaTelemetry,
+    SpeculativeConfig, SpeculativeDecoder, Strategy, TransformerLm,
 };
 use wisdom_prng::Prng;
 use wisdom_tokenizer::BpeTokenizer;
@@ -286,6 +286,7 @@ fn solo_batched_and_speculative_constrained_decodes_agree() {
             speculative: SpeculativeConfig::self_draft(3),
             ..BatchConfig::default()
         },
+        ReplicaTelemetry::default(),
     );
     for (req, want) in requests.iter().zip(&solo) {
         let pending = sched.submit(req.clone()).expect("submit");

@@ -5,17 +5,29 @@
 //!
 //! * `POST /v1/completions` with `{"prompt": "...", "context": "..."}` →
 //!   `{"completion", "snippet", "schema_correct", "lint", "model"}`;
-//! * `GET /v1/stats` → queue depth, in-flight batch size, and prefix-cache
-//!   counters as JSON;
+//! * `GET /v1/stats` → queue depth, in-flight batch size, prefix-cache,
+//!   speculation, quantization and grammar counters summed over the
+//!   replica pool, plus a per-replica breakdown, as JSON;
 //! * `GET /metrics` → the full serving-stack registry in Prometheus text
 //!   exposition format;
 //! * `GET /healthz` → `ok` (liveness: never touches the model or a lock);
-//! * `GET /readyz` → `ready`, or 503 until the decode worker is up.
+//! * `GET /readyz` → `ready`, or 503 while any decode worker is not
+//!   running (before startup and after shutdown).
+//!
+//! Every completion takes one path: a cache-aware [`Router`] places it on
+//! a replica of a [`ReplicaPool`] of `ServerConfig::replicas` (at least 1)
+//! continuous-batching decode workers, each with its own bounded queue and
+//! prefix KV cache, and prefers the replica already holding the longest
+//! prefix of its prompt. Every [`ServerConfig`] field takes effect at every
+//! `max_batch_size`; `1` is a pool of one-lane workers.
 //!
 //! Completions accept `"stream": true` to switch the response to
 //! server-sent events over chunked transfer encoding: one `data:` event
 //! per decoded token, then a final event carrying the exact JSON object a
-//! non-streaming request would have returned, then `data: [DONE]`.
+//! non-streaming request would have returned, then `data: [DONE]`. A
+//! decode whose result is lost (the pool shut down under it) answers 503
+//! with `Retry-After`; a stream in that state ends without the final event
+//! and without `[DONE]`.
 //!
 //! Completions also accept `"constraint": "none" | "yaml" | "ansible"` to
 //! pick the grammar the decode is masked through per request
@@ -23,24 +35,22 @@
 //! under [`ServerConfig::constraint`]. `GET /v1/stats` echoes the default
 //! and the pool's grammar counters.
 //!
-//! With `ServerConfig::replicas` > 1, completions are spread over a
-//! [`ReplicaPool`] by a cache-aware [`Router`]: each replica owns its own
-//! decode worker and prefix KV cache, and requests are placed on the
-//! replica already holding the longest prefix of their prompt.
-//!
 //! Connections are keep-alive when the client asks for it
 //! (`Connection: keep-alive`), bounded by
 //! `ServerConfig::keepalive_max_requests`; legacy read-to-EOF clients that
 //! omit the header keep the old close-per-request behavior.
+//!
+//! [`ReplicaPool`]: wisdom_core::ReplicaPool
 
+use std::io::Write;
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use wisdom_core::{
-    BatchConfig, BatchScheduler, CompletionRequest, Constraint, Precision, ReplicaTelemetry,
-    SchedulerStats, SpeculativeConfig, SubmitError, Suggestion, Wisdom,
+    BatchConfig, CompletionRequest, Constraint, Pending, Precision, ReplicaTelemetry,
+    SpeculativeConfig, SubmitError, Suggestion, Wisdom,
 };
 
 use crate::http::{
@@ -48,7 +58,7 @@ use crate::http::{
     MAX_BODY_BYTES,
 };
 use crate::json::{parse_json, Json};
-use crate::router::{estimate_retry_after, RoutePolicy, Router, RouterConfig, RouterTelemetry};
+use crate::router::{RoutePolicy, Router, RouterConfig, RouterTelemetry};
 use crate::telemetry::{ServerTelemetry, METRICS_CONTENT_TYPE};
 
 /// Server sizing and limits.
@@ -57,34 +67,36 @@ pub struct ServerConfig {
     /// Connection-handler threads (fixed pool; a flood of connections
     /// queues instead of exhausting threads).
     pub worker_threads: usize,
-    /// Sequences decoded together by the batch scheduler. `1` disables the
-    /// scheduler and decodes directly on the handler thread.
+    /// Sequences each replica's decode worker decodes together (clamped to
+    /// ≥ 1; `1` decodes one sequence at a time).
     pub max_batch_size: usize,
-    /// Bounded decode-queue depth; beyond it, completions get 503.
+    /// Bounded decode-queue depth per replica; when every replica's queue
+    /// is full, completions get 503.
     pub queue_depth: usize,
     /// Request-body cap in bytes (over it: 413).
     pub max_body_bytes: usize,
     /// Socket read/write timeout per connection.
     pub io_timeout: Duration,
-    /// `Retry-After` seconds advertised on 503 responses.
+    /// `Retry-After` seconds advertised on 503 responses while the pool has
+    /// no decode history to estimate a drain time from.
     pub retry_after_secs: u64,
-    /// Byte budget for the scheduler's shared prefix KV cache; `0` disables
+    /// Byte budget for each replica's prefix KV cache; `0` disables
     /// prompt-prefix reuse across requests.
     pub prefix_cache_bytes: usize,
-    /// Speculative-decoding sizing for greedy requests on the batched path;
-    /// disabled by default (`max_draft` 0).
+    /// Speculative-decoding sizing for greedy requests; disabled by default
+    /// (`max_draft` 0).
     pub speculative: SpeculativeConfig,
-    /// Weight precision this replica serves at ([`Precision::Int8`] packs
-    /// the scheduler's model copy to per-block int8 at startup); echoed in
-    /// `GET /v1/stats`. Requires the batched path (`max_batch_size` > 1).
+    /// Weight precision the replicas serve at ([`Precision::Int8`] packs
+    /// each replica's model copy to per-block int8 at startup); echoed in
+    /// `GET /v1/stats`.
     pub precision: Precision,
     /// Default grammar constraint completions decode under; individual
     /// requests override it with a `"constraint"` field. Echoed in
     /// `GET /v1/stats`.
     pub constraint: Constraint,
-    /// Independent scheduler replicas behind the router, each with its own
-    /// decode worker and prefix KV cache sized by `prefix_cache_bytes`.
-    /// Requires the batched path (`max_batch_size` > 1); clamped to ≥ 1.
+    /// Independent decode replicas behind the router, each with its own
+    /// decode worker and prefix KV cache sized by `prefix_cache_bytes`;
+    /// clamped to ≥ 1.
     pub replicas: usize,
     /// How the router places completions over the replicas.
     pub route_policy: RoutePolicy,
@@ -114,23 +126,30 @@ impl Default for ServerConfig {
     }
 }
 
+/// Everything a request handler needs: the assistant, the router over its
+/// replica pool, the replicas' telemetry contexts, and the registry.
+#[derive(Debug)]
+struct Service {
+    wisdom: Arc<Wisdom>,
+    config: ServerConfig,
+    router: Router,
+    /// Per-replica telemetry contexts the pool records into; `/v1/stats`
+    /// sums quantization and grammar counters across them.
+    replicas: Vec<ReplicaTelemetry>,
+    telemetry: ServerTelemetry,
+    /// Test hook: while set, `GET /readyz` reports 503 regardless of the
+    /// decode workers' actual state.
+    forced_unready: AtomicBool,
+}
+
 /// The inference server: owns a trained [`Wisdom`] assistant and serves
 /// completion requests over HTTP. Connections are handled by a fixed
-/// worker pool; completions are multiplexed onto a continuous-batching
-/// [`BatchScheduler`] (unless `max_batch_size` is 1).
+/// worker pool; completions are routed onto a pool of continuous-batching
+/// decode replicas.
 pub struct WisdomServer {
-    wisdom: Arc<Wisdom>,
     listener: TcpListener,
     shutdown: Arc<AtomicBool>,
-    config: ServerConfig,
-    router: Option<Arc<Router>>,
-    /// Per-replica telemetry bundles the pool's schedulers record into;
-    /// `/v1/stats` sums quantization gauges across them.
-    bundles: Arc<Vec<ReplicaTelemetry>>,
-    telemetry: Arc<ServerTelemetry>,
-    /// Test hook: while set, `GET /readyz` reports 503 regardless of the
-    /// decode worker's actual state.
-    forced_unready: Arc<AtomicBool>,
+    service: Arc<Service>,
 }
 
 /// Handle for stopping a running server from another thread.
@@ -138,9 +157,7 @@ pub struct WisdomServer {
 pub struct ServerHandle {
     addr: std::net::SocketAddr,
     shutdown: Arc<AtomicBool>,
-    router: Option<Arc<Router>>,
-    telemetry: Arc<ServerTelemetry>,
-    forced_unready: Arc<AtomicBool>,
+    service: Arc<Service>,
 }
 
 impl ServerHandle {
@@ -158,23 +175,21 @@ impl ServerHandle {
 
     /// The server's metric registry and access log.
     pub fn telemetry(&self) -> &ServerTelemetry {
-        &self.telemetry
+        &self.service.telemetry
     }
 
     /// Test hook: pause/resume admission from the decode queue into the
     /// running batch, making queue-overflow (503) behavior deterministic.
     #[doc(hidden)]
     pub fn set_admission_paused(&self, paused: bool) {
-        if let Some(r) = &self.router {
-            r.pool().set_admission_paused(paused);
-        }
+        self.service.router.pool().set_admission_paused(paused);
     }
 
     /// Test hook: force `GET /readyz` to 503 (`false`) or restore normal
     /// worker-derived readiness (`true`).
     #[doc(hidden)]
     pub fn set_ready(&self, ready: bool) {
-        self.forced_unready.store(!ready, Ordering::SeqCst);
+        self.service.forced_unready.store(!ready, Ordering::SeqCst);
     }
 }
 
@@ -203,8 +218,9 @@ impl WisdomServer {
     }
 
     /// [`Self::bind_with`] with an explicit [`ServerTelemetry`] (tests
-    /// inject one with a capturing logger). The scheduler and its prefix
-    /// cache record into the same registry `GET /metrics` renders.
+    /// inject one with a capturing logger). The replicas, their prefix
+    /// caches, and the router record into the same registry `GET /metrics`
+    /// renders.
     ///
     /// # Errors
     ///
@@ -215,53 +231,11 @@ impl WisdomServer {
         config: ServerConfig,
         telemetry: ServerTelemetry,
     ) -> std::io::Result<WisdomServer> {
-        let mut bundles = Vec::new();
-        let router = (config.max_batch_size > 1).then(|| {
-            let replicas = config.replicas.max(1);
-            bundles = telemetry.replica_bundles(replicas);
-            if !config.speculative.enabled() {
-                // Match the single-scheduler server: no speculative series
-                // movement when speculation is off.
-                for bundle in &mut bundles {
-                    bundle.speculative = None;
-                }
-            }
-            let pool = wisdom.replica_pool(
-                BatchConfig {
-                    max_batch_size: config.max_batch_size,
-                    queue_depth: config.queue_depth,
-                    prefix_cache_bytes: config.prefix_cache_bytes,
-                    speculative: config.speculative,
-                    precision: config.precision,
-                    constraint: config.constraint,
-                },
-                replicas,
-                &bundles,
-            );
-            let label = match config.route_policy {
-                RoutePolicy::PrefixAffinity => "prefix_affinity",
-                RoutePolicy::RoundRobin => "round_robin",
-                RoutePolicy::Rendezvous => "rendezvous",
-            };
-            let router_telemetry = RouterTelemetry::register(telemetry.registry(), label);
-            Arc::new(Router::new(
-                Arc::new(pool),
-                RouterConfig {
-                    policy: config.route_policy,
-                    ..RouterConfig::default()
-                },
-                Some(router_telemetry),
-            ))
-        });
+        let listener = TcpListener::bind(addr)?;
         Ok(WisdomServer {
-            wisdom,
-            listener: TcpListener::bind(addr)?,
+            listener,
             shutdown: Arc::new(AtomicBool::new(false)),
-            config,
-            router,
-            bundles: Arc::new(bundles),
-            telemetry: Arc::new(telemetry),
-            forced_unready: Arc::new(AtomicBool::new(false)),
+            service: Arc::new(Service::new(wisdom, config, telemetry)),
         })
     }
 
@@ -270,9 +244,7 @@ impl WisdomServer {
         ServerHandle {
             addr: self.listener.local_addr().expect("bound listener"),
             shutdown: Arc::clone(&self.shutdown),
-            router: self.router.clone(),
-            telemetry: Arc::clone(&self.telemetry),
-            forced_unready: Arc::clone(&self.forced_unready),
+            service: Arc::clone(&self.service),
         }
     }
 
@@ -281,39 +253,22 @@ impl WisdomServer {
     /// requests finish before `serve` returns.
     pub fn serve(self) {
         let WisdomServer {
-            wisdom,
             listener,
             shutdown,
-            config,
-            router,
-            bundles,
-            telemetry,
-            forced_unready,
+            service,
         } = self;
-        let workers = config.worker_threads.max(1);
+        let workers = service.config.worker_threads.max(1);
         let (tx, rx) = mpsc::channel::<TcpStream>();
         let rx = Arc::new(Mutex::new(rx));
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 let rx = Arc::clone(&rx);
-                let wisdom = &wisdom;
-                let router = router.as_deref();
-                let bundles = &bundles;
-                let telemetry = &telemetry;
-                let forced_unready = &forced_unready;
+                let service = &service;
                 scope.spawn(move || loop {
                     // Hold the receiver lock only while dequeuing.
                     let conn = rx.lock().expect("worker queue lock").recv();
                     let Ok(mut conn) = conn else { break };
-                    handle_connection(
-                        wisdom,
-                        router,
-                        bundles,
-                        &config,
-                        telemetry,
-                        forced_unready,
-                        &mut conn,
-                    );
+                    service.handle_connection(&mut conn);
                 });
             }
             for conn in listener.incoming() {
@@ -327,89 +282,346 @@ impl WisdomServer {
             // exit, then the scope joins them.
             drop(tx);
         });
-        if let Some(r) = &router {
-            r.pool().shutdown();
-        }
+        service.router.pool().shutdown();
     }
 }
 
-/// Serves one connection: a keep-alive loop when the client asks for it
-/// (bounded by `keepalive_max_requests`), one request otherwise. Streaming
-/// completions take over the socket (SSE commits the connection to chunked
-/// encoding) and always close afterwards.
-fn handle_connection(
-    wisdom: &Wisdom,
-    router: Option<&Router>,
-    bundles: &[ReplicaTelemetry],
-    config: &ServerConfig,
-    telemetry: &ServerTelemetry,
-    forced_unready: &AtomicBool,
-    conn: &mut TcpStream,
-) {
-    let _ = conn.set_read_timeout(Some(config.io_timeout));
-    let _ = conn.set_write_timeout(Some(config.io_timeout));
-    let mut served = 0usize;
-    loop {
-        let started = Instant::now();
-        match read_request_opt(conn, config.max_body_bytes) {
-            // Clean EOF between requests: the client is done.
-            Ok(None) => break,
-            Ok(Some(request)) => {
-                served += 1;
-                let ready = !forced_unready.load(Ordering::SeqCst)
-                    && router.is_none_or(|r| r.pool().worker_ready());
-                if wants_streaming(&request) {
-                    let status = stream_completion(
-                        wisdom,
-                        router,
-                        config.retry_after_secs,
-                        config.constraint,
-                        telemetry,
-                        conn,
-                        &request,
-                    );
+impl Service {
+    /// Spawns the replica pool `config` describes and the router over it,
+    /// both recording into `telemetry`'s registry.
+    fn new(wisdom: Arc<Wisdom>, config: ServerConfig, telemetry: ServerTelemetry) -> Service {
+        let replicas = telemetry.replica_bundles(config.replicas.max(1));
+        let pool = wisdom.replica_pool(
+            BatchConfig {
+                max_batch_size: config.max_batch_size,
+                queue_depth: config.queue_depth,
+                prefix_cache_bytes: config.prefix_cache_bytes,
+                speculative: config.speculative,
+                precision: config.precision,
+                constraint: config.constraint,
+            },
+            replicas.len(),
+            &replicas,
+        );
+        let policy = match config.route_policy {
+            RoutePolicy::PrefixAffinity => "prefix_affinity",
+            RoutePolicy::RoundRobin => "round_robin",
+            RoutePolicy::Rendezvous => "rendezvous",
+        };
+        let router = Router::new(
+            Arc::new(pool),
+            RouterConfig {
+                policy: config.route_policy,
+                ..RouterConfig::default()
+            },
+            Some(RouterTelemetry::register(telemetry.registry(), policy)),
+        );
+        Service {
+            wisdom,
+            config,
+            router,
+            replicas,
+            telemetry,
+            forced_unready: AtomicBool::new(false),
+        }
+    }
+
+    /// Serves one connection: a keep-alive loop when the client asks for
+    /// it (bounded by `keepalive_max_requests`), one request otherwise.
+    /// Streaming completions take over the socket (SSE commits the
+    /// connection to chunked encoding) and always close afterwards.
+    fn handle_connection(&self, conn: &mut TcpStream) {
+        let config = &self.config;
+        let telemetry = &self.telemetry;
+        let _ = conn.set_read_timeout(Some(config.io_timeout));
+        let _ = conn.set_write_timeout(Some(config.io_timeout));
+        let mut served = 0usize;
+        loop {
+            let started = Instant::now();
+            match read_request_opt(conn, config.max_body_bytes) {
+                // Clean EOF between requests: the client is done.
+                Ok(None) => break,
+                Ok(Some(request)) => {
+                    served += 1;
+                    let streaming = wants_streaming(&request);
+                    let keep = !streaming
+                        && wants_keep_alive(&request)
+                        && served < config.keepalive_max_requests.max(1);
+                    let status = if streaming {
+                        self.stream_completion(conn, &request)
+                    } else {
+                        let response = self.dispatch(&request);
+                        let _ = response.write_to_with(conn, keep);
+                        response.status
+                    };
                     telemetry.observe_request(
                         &request.method,
                         &request.path,
                         status,
                         started.elapsed().as_secs_f64(),
                     );
+                    if !keep {
+                        break;
+                    }
+                }
+                Err(e) => {
+                    let response = Response::text(e.status, e.to_string());
+                    let _ = response.write_to(conn);
+                    // No parsed path to attribute: folds into the "other"
+                    // route.
+                    telemetry.observe_request("-", "-", e.status, started.elapsed().as_secs_f64());
+                    telemetry.logger.info(
+                        "http",
+                        &[("error", &e.to_string()), ("status", &e.status.to_string())],
+                    );
                     break;
                 }
-                let keep =
-                    wants_keep_alive(&request) && served < config.keepalive_max_requests.max(1);
-                let response = respond(
-                    wisdom,
-                    router,
-                    bundles,
-                    config,
-                    Some(telemetry),
-                    ready,
-                    &request,
-                );
-                let _ = response.write_to_with(conn, keep);
-                telemetry.observe_request(
-                    &request.method,
-                    &request.path,
-                    response.status,
-                    started.elapsed().as_secs_f64(),
-                );
-                if !keep {
-                    break;
-                }
-            }
-            Err(e) => {
-                let response = Response::text(e.status, e.to_string());
-                let _ = response.write_to(conn);
-                // No parsed path to attribute: folds into the "other" route.
-                telemetry.observe_request("-", "-", e.status, started.elapsed().as_secs_f64());
-                telemetry.logger.info(
-                    "http",
-                    &[("error", &e.to_string()), ("status", &e.status.to_string())],
-                );
-                break;
             }
         }
+    }
+
+    /// Answers one non-streaming request.
+    fn dispatch(&self, request: &Request) -> Response {
+        match (request.method.as_str(), request.path.as_str()) {
+            ("GET", "/healthz") => Response::text(200, "ok"),
+            ("GET", "/readyz") => {
+                // Derived from the decode workers' flags: a probe never
+                // touches the model or a scheduler lock.
+                let ready = !self.forced_unready.load(Ordering::SeqCst)
+                    && self.router.pool().worker_ready();
+                if ready {
+                    Response::text(200, "ready")
+                } else {
+                    Response::text(503, "decode worker is not ready")
+                        .with_header("retry-after", self.config.retry_after_secs.to_string())
+                }
+            }
+            ("GET", "/metrics") => {
+                Response::text(200, self.telemetry.render()).with_content_type(METRICS_CONTENT_TYPE)
+            }
+            ("GET", "/v1/stats") => self.stats(),
+            ("POST", "/v1/completions") => self.complete(request),
+            ("POST", "/v1/lint") => lint(request),
+            ("POST", _) | ("GET", _) => Response::text(404, "unknown endpoint"),
+            _ => Response::text(405, "method not allowed"),
+        }
+    }
+
+    /// Router-placed completions: submit to the replica the router picks,
+    /// spill to others on overflow, 503 with an estimated `Retry-After`
+    /// when every replica is full or the result is lost.
+    fn complete(&self, request: &Request) -> Response {
+        let (completion, constraint) = match parse_completion(request, self.config.constraint) {
+            Ok(r) => r,
+            Err(response) => return response,
+        };
+        match self
+            .router
+            .submit(self.wisdom.decode_request(&completion, constraint))
+            .and_then(Pending::wait_checked)
+        {
+            Ok(out) => Response::json(self.payload(&completion, &out).to_text()),
+            Err(e) => self.unavailable(e),
+        }
+    }
+
+    /// The 503 for a shed or lost decode, with the router's `Retry-After`
+    /// estimate.
+    fn unavailable(&self, error: SubmitError) -> Response {
+        let secs = self.router.retry_after_secs(self.config.retry_after_secs);
+        Response::text(503, error.to_string()).with_header("retry-after", secs.to_string())
+    }
+
+    /// The `/v1/completions` response object for decoded tokens `out`.
+    /// Shared by the non-streaming response body and the final SSE event,
+    /// which is what makes streamed and non-streamed responses
+    /// byte-identical.
+    fn payload(&self, request: &CompletionRequest, out: &[u32]) -> Json {
+        let suggestion = Suggestion::from_raw(request, &self.wisdom.tokenizer().decode(out));
+        let lint = suggestion
+            .lint
+            .iter()
+            .map(|v| Json::Str(v.to_string()))
+            .collect();
+        Json::obj(vec![
+            ("completion", Json::Str(suggestion.body)),
+            ("snippet", Json::Str(suggestion.snippet)),
+            ("schema_correct", Json::Bool(suggestion.schema_correct)),
+            ("lint", Json::Arr(lint)),
+            ("model", Json::Str("wisdom".to_string())),
+        ])
+    }
+
+    /// Streams a completion as server-sent events, writing directly to the
+    /// socket: one `{"token": …}` event per decoded token, the exact
+    /// non-streaming JSON object as the final data event, then `[DONE]`.
+    /// Returns the status to log. Validation failures and sheds are
+    /// written as ordinary (non-chunked) responses before any SSE bytes
+    /// commit the stream; a result lost mid-stream ends the body without
+    /// the final event and `[DONE]`, and logs 503.
+    fn stream_completion(&self, conn: &mut impl Write, request: &Request) -> u16 {
+        let reject = |conn: &mut _, response: Response| {
+            let _ = response.write_to(conn);
+            response.status
+        };
+        let (completion, constraint) = match parse_completion(request, self.config.constraint) {
+            Ok(r) => r,
+            Err(response) => return reject(conn, response),
+        };
+        let stream = match self
+            .router
+            .submit_streaming(self.wisdom.decode_request(&completion, constraint))
+        {
+            Ok(stream) => stream,
+            Err(e) => return reject(conn, self.unavailable(e)),
+        };
+        // From here the head has committed the connection to a chunked 200;
+        // write failures (client gone) only abort the body.
+        let started = Instant::now();
+        if write_sse_head(conn).is_ok() {
+            let mut previous: Option<Instant> = None;
+            for token in stream.tokens.iter() {
+                let now = Instant::now();
+                match previous {
+                    None => self
+                        .telemetry
+                        .stream_ttft
+                        .observe(started.elapsed().as_secs_f64()),
+                    Some(p) => self
+                        .telemetry
+                        .stream_token
+                        .observe(now.duration_since(p).as_secs_f64()),
+                }
+                previous = Some(now);
+                let event =
+                    Json::obj(vec![("token", Json::Str(self.wisdom.token_text(token)))]).to_text();
+                if write_sse_event(conn, &event).is_err() {
+                    break;
+                }
+            }
+        }
+        let status = match stream.result.wait_checked() {
+            Ok(out) => {
+                let _ = write_sse_event(conn, &self.payload(&completion, &out).to_text());
+                let _ = write_sse_event(conn, "[DONE]");
+                200
+            }
+            Err(_) => 503,
+        };
+        let _ = finish_chunked(conn);
+        status
+    }
+
+    /// `/v1/stats`: load, cache, speculation, precision, quantization and
+    /// grammar figures summed over the replica pool, plus `replica_count` and
+    /// a per-replica breakdown.
+    fn stats(&self) -> Response {
+        let config = &self.config;
+        let agg = self.router.pool().aggregate();
+        let num = |n: usize| Json::Num(n as f64);
+        let count = |n: u64| Json::Num(n as f64);
+        let pc = agg.prefix_cache.unwrap_or_default();
+        let quant_bundles = || self.replicas.iter().filter_map(|b| b.quant.as_ref());
+        let grammar_bundles = || self.replicas.iter().filter_map(|b| b.grammar.as_ref());
+        let replicas = agg
+            .replicas
+            .iter()
+            .map(|s| {
+                let rpc = s.prefix_cache.unwrap_or_default();
+                Json::obj(vec![
+                    ("queue_depth", num(s.queue_depth)),
+                    ("in_flight", num(s.in_flight)),
+                    ("wakeups", count(s.wakeups)),
+                    ("prefix_cache_hits", count(rpc.hits)),
+                    ("prefix_cache_bytes", num(rpc.bytes)),
+                ])
+            })
+            .collect();
+        Response::json(
+            Json::obj(vec![
+                ("queue_depth", num(agg.queue_depth)),
+                ("in_flight", num(agg.in_flight)),
+                ("max_batch_size", num(config.max_batch_size)),
+                ("queue_capacity", num(config.queue_depth)),
+                (
+                    "prefix_cache",
+                    Json::obj(vec![
+                        ("enabled", Json::Bool(agg.prefix_cache.is_some())),
+                        ("hits", count(pc.hits)),
+                        ("misses", count(pc.misses)),
+                        ("hit_tokens", count(pc.hit_tokens)),
+                        ("evicted_segments", count(pc.evicted_segments)),
+                        ("bytes", num(pc.bytes)),
+                        ("segments", num(pc.segments)),
+                        ("budget_bytes", num(pc.budget_bytes)),
+                    ]),
+                ),
+                (
+                    "speculative",
+                    Json::obj(vec![
+                        ("enabled", Json::Bool(config.speculative.enabled())),
+                        ("k", num(config.speculative.max_draft)),
+                        (
+                            "draft",
+                            Json::Str(config.speculative.draft_label().to_string()),
+                        ),
+                    ]),
+                ),
+                (
+                    "precision",
+                    Json::Str(config.precision.as_str().to_string()),
+                ),
+                (
+                    "quant",
+                    Json::obj(vec![
+                        (
+                            "weight_bytes",
+                            num(quant_bundles().map(|q| q.weight_bytes.get()).sum::<f64>() as usize),
+                        ),
+                        (
+                            "weight_bytes_saved",
+                            num(quant_bundles()
+                                .map(|q| q.weight_bytes_saved.get())
+                                .sum::<f64>() as usize),
+                        ),
+                        (
+                            "matmuls_int8",
+                            count(quant_bundles().map(|q| q.matmuls_int8.get()).sum()),
+                        ),
+                        (
+                            "matmuls_f32",
+                            count(quant_bundles().map(|q| q.matmuls_f32.get()).sum()),
+                        ),
+                    ]),
+                ),
+                (
+                    "grammar",
+                    Json::obj(vec![
+                        (
+                            "constraint",
+                            Json::Str(config.constraint.as_str().to_string()),
+                        ),
+                        (
+                            "masked_tokens",
+                            count(grammar_bundles().map(|g| g.masked_tokens.get()).sum()),
+                        ),
+                        (
+                            "forced_tokens",
+                            count(grammar_bundles().map(|g| g.forced_fast_path.get()).sum()),
+                        ),
+                        (
+                            "states_cached",
+                            num(grammar_bundles()
+                                .map(|g| g.states_cached.get())
+                                .sum::<f64>() as usize),
+                        ),
+                    ]),
+                ),
+                ("replica_count", num(self.router.pool().len())),
+                ("replicas", Json::Arr(replicas)),
+            ])
+            .to_text(),
+        )
     }
 }
 
@@ -431,231 +643,6 @@ fn wants_streaming(request: &Request) -> bool {
             .ok()
             .and_then(|p| p.get("stream").and_then(Json::as_bool))
             == Some(true)
-}
-
-/// Routes one request for the serving loop: pool-aware completions and
-/// stats when a router is present, everything else via [`route_full`].
-fn respond(
-    wisdom: &Wisdom,
-    router: Option<&Router>,
-    bundles: &[ReplicaTelemetry],
-    config: &ServerConfig,
-    telemetry: Option<&ServerTelemetry>,
-    ready: bool,
-    request: &Request,
-) -> Response {
-    match (request.method.as_str(), request.path.as_str(), router) {
-        ("POST", "/v1/completions", Some(router)) => completions_pooled(
-            wisdom,
-            router,
-            config.retry_after_secs,
-            config.constraint,
-            request,
-        ),
-        ("GET", "/v1/stats", Some(router)) => pool_stats(router, bundles, config),
-        _ => route_constrained(
-            wisdom,
-            None,
-            config.retry_after_secs,
-            config.constraint,
-            telemetry,
-            ready,
-            request,
-        ),
-    }
-}
-
-/// Routes one request on the direct (unbatched) decode path.
-pub fn route(wisdom: &Wisdom, request: &Request) -> Response {
-    route_with(wisdom, None, 1, request)
-}
-
-/// Routes one request; completions go through `scheduler` when given, and a
-/// full decode queue answers 503 with `Retry-After: retry_after_secs`.
-pub fn route_with(
-    wisdom: &Wisdom,
-    scheduler: Option<&BatchScheduler>,
-    retry_after_secs: u64,
-    request: &Request,
-) -> Response {
-    let ready = scheduler.is_none_or(BatchScheduler::worker_ready);
-    route_full(wisdom, scheduler, retry_after_secs, None, ready, request)
-}
-
-/// [`route_full`] with a default grammar constraint: completions without a
-/// `"constraint"` field decode under `default_constraint` instead of
-/// unconstrained.
-fn route_constrained(
-    wisdom: &Wisdom,
-    scheduler: Option<&BatchScheduler>,
-    retry_after_secs: u64,
-    default_constraint: Constraint,
-    telemetry: Option<&ServerTelemetry>,
-    ready: bool,
-    request: &Request,
-) -> Response {
-    match (request.method.as_str(), request.path.as_str()) {
-        ("GET", "/healthz") => Response::text(200, "ok"),
-        ("GET", "/readyz") => {
-            if ready {
-                Response::text(200, "ready")
-            } else {
-                Response::text(503, "decode worker is not ready")
-                    .with_header("retry-after", retry_after_secs.to_string())
-            }
-        }
-        ("GET", "/metrics") => match telemetry {
-            Some(t) => Response::text(200, t.render()).with_content_type(METRICS_CONTENT_TYPE),
-            None => Response::text(404, "metrics are not enabled on this server"),
-        },
-        ("GET", "/v1/stats") => stats(scheduler, telemetry, default_constraint),
-        ("POST", "/v1/completions") => completions(
-            wisdom,
-            scheduler,
-            retry_after_secs,
-            default_constraint,
-            request,
-        ),
-        ("POST", "/v1/lint") => lint(request),
-        ("POST", _) | ("GET", _) => Response::text(404, "unknown endpoint"),
-        _ => Response::text(405, "method not allowed"),
-    }
-}
-
-/// The full router: [`route_with`] plus the observability surface. With a
-/// [`ServerTelemetry`], `GET /metrics` renders the registry and
-/// `GET /v1/stats` is served from the same registry handles; `ready` is
-/// what `GET /readyz` reports (the caller derives it from the decode
-/// worker, so a probe never touches the model or the scheduler lock).
-pub fn route_full(
-    wisdom: &Wisdom,
-    scheduler: Option<&BatchScheduler>,
-    retry_after_secs: u64,
-    telemetry: Option<&ServerTelemetry>,
-    ready: bool,
-    request: &Request,
-) -> Response {
-    route_constrained(
-        wisdom,
-        scheduler,
-        retry_after_secs,
-        Constraint::None,
-        telemetry,
-        ready,
-        request,
-    )
-}
-
-/// Serving/load counters for dashboards and tests: scheduler queue depth
-/// and in-flight batch size plus the prefix KV cache's hit/miss/evicted/
-/// bytes counters. On the direct (scheduler-less) path everything reads as
-/// idle/disabled. With a [`ServerTelemetry`], the numbers come from the
-/// same registry handles `GET /metrics` renders (the JSON shape is
-/// unchanged); without one, from the scheduler's internal snapshot.
-fn stats(
-    scheduler: Option<&BatchScheduler>,
-    telemetry: Option<&ServerTelemetry>,
-    default_constraint: Constraint,
-) -> Response {
-    let snapshot = match telemetry {
-        // The registry handles are the instrumented sites' own updates;
-        // reading them back keeps /v1/stats and /metrics telling one story.
-        Some(t) => SchedulerStats {
-            queue_depth: t.batch.queue_depth.get() as usize,
-            in_flight: t.batch.batch_occupancy.get() as usize,
-            wakeups: t.batch.wakeups.get(),
-            prefix_cache: scheduler
-                .is_some_and(|s| s.prefix_cache().is_some())
-                .then(|| wisdom_core::PrefixCacheStats {
-                    hits: t.prefix_cache.hits.get(),
-                    misses: t.prefix_cache.misses.get(),
-                    hit_tokens: t.prefix_cache.hit_tokens.get(),
-                    evicted_segments: t.prefix_cache.evicted_segments.get(),
-                    bytes: t.prefix_cache.bytes.get() as usize,
-                    segments: t.prefix_cache.segments.get() as usize,
-                    budget_bytes: t.prefix_cache.budget_bytes.get() as usize,
-                }),
-        },
-        None => scheduler.map_or_else(SchedulerStats::default, BatchScheduler::stats),
-    };
-    let (max_batch_size, queue_capacity) = scheduler.map_or((1, 0), |s| {
-        (s.config().max_batch_size, s.config().queue_depth)
-    });
-    let num = |n: usize| Json::Num(n as f64);
-    let count = |n: u64| Json::Num(n as f64);
-    let pc = snapshot.prefix_cache.unwrap_or_default();
-    // The direct (scheduler-less) path never speculates.
-    let spec = scheduler.map_or_else(SpeculativeConfig::disabled, |s| s.config().speculative);
-    // The direct path always serves the assistant's own f32 weights.
-    let precision = scheduler.map_or(Precision::F32, |s| s.config().precision);
-    // The scheduler's configured default constraint wins when one exists
-    // (it is what `bind_with` set from the `ServerConfig`).
-    let constraint = scheduler.map_or(default_constraint, |s| s.config().constraint);
-    let grammar = Json::obj(vec![
-        ("constraint", Json::Str(constraint.as_str().to_string())),
-        (
-            "masked_tokens",
-            count(telemetry.map_or(0, |t| t.grammar.masked_tokens.get())),
-        ),
-        (
-            "forced_tokens",
-            count(telemetry.map_or(0, |t| t.grammar.forced_fast_path.get())),
-        ),
-        (
-            "states_cached",
-            num(telemetry.map_or(0.0, |t| t.grammar.states_cached.get()) as usize),
-        ),
-    ]);
-    let quant = Json::obj(match telemetry {
-        Some(t) => vec![
-            ("weight_bytes", num(t.quant.weight_bytes.get() as usize)),
-            (
-                "weight_bytes_saved",
-                num(t.quant.weight_bytes_saved.get() as usize),
-            ),
-            ("matmuls_int8", count(t.quant.matmuls_int8.get())),
-            ("matmuls_f32", count(t.quant.matmuls_f32.get())),
-        ],
-        None => vec![
-            ("weight_bytes", num(0)),
-            ("weight_bytes_saved", num(0)),
-            ("matmuls_int8", count(0)),
-            ("matmuls_f32", count(0)),
-        ],
-    });
-    Response::json(
-        Json::obj(vec![
-            ("queue_depth", num(snapshot.queue_depth)),
-            ("in_flight", num(snapshot.in_flight)),
-            ("max_batch_size", num(max_batch_size)),
-            ("queue_capacity", num(queue_capacity)),
-            (
-                "prefix_cache",
-                Json::obj(vec![
-                    ("enabled", Json::Bool(snapshot.prefix_cache.is_some())),
-                    ("hits", count(pc.hits)),
-                    ("misses", count(pc.misses)),
-                    ("hit_tokens", count(pc.hit_tokens)),
-                    ("evicted_segments", count(pc.evicted_segments)),
-                    ("bytes", num(pc.bytes)),
-                    ("segments", num(pc.segments)),
-                    ("budget_bytes", num(pc.budget_bytes)),
-                ]),
-            ),
-            (
-                "speculative",
-                Json::obj(vec![
-                    ("enabled", Json::Bool(spec.enabled())),
-                    ("k", num(spec.max_draft)),
-                    ("draft", Json::Str(spec.draft_label().to_string())),
-                ]),
-            ),
-            ("precision", Json::Str(precision.as_str().to_string())),
-            ("quant", quant),
-            ("grammar", grammar),
-        ])
-        .to_text(),
-    )
 }
 
 /// Lint-as-a-service: `{"content": "<yaml>"}` → schema findings. The same
@@ -680,24 +667,6 @@ fn lint(request: &Request) -> Response {
         ])
         .to_text(),
     )
-}
-
-/// The `/v1/completions` response object. Shared by the non-streaming
-/// response body and the final SSE event, which is what makes streamed and
-/// non-streamed responses byte-identical.
-fn completion_payload(suggestion: &Suggestion) -> Json {
-    let lint = suggestion
-        .lint
-        .iter()
-        .map(|v| Json::Str(v.to_string()))
-        .collect();
-    Json::obj(vec![
-        ("completion", Json::Str(suggestion.body.clone())),
-        ("snippet", Json::Str(suggestion.snippet.clone())),
-        ("schema_correct", Json::Bool(suggestion.schema_correct)),
-        ("lint", Json::Arr(lint)),
-        ("model", Json::Str("wisdom".to_string())),
-    ])
 }
 
 /// Parses the completion payload shared by all decode paths — including
@@ -726,255 +695,10 @@ fn parse_completion(
     Ok((CompletionRequest::new(context, prompt), constraint))
 }
 
-fn completions(
-    wisdom: &Wisdom,
-    scheduler: Option<&BatchScheduler>,
-    retry_after_secs: u64,
-    default_constraint: Constraint,
-    request: &Request,
-) -> Response {
-    let (completion_request, constraint) = match parse_completion(request, default_constraint) {
-        Ok(r) => r,
-        Err(response) => return response,
-    };
-    let suggestion = match scheduler {
-        Some(s) => {
-            match wisdom.try_complete_batched_constrained(&completion_request, s, constraint) {
-                Ok(suggestion) => suggestion,
-                Err(e @ (SubmitError::QueueFull | SubmitError::ShutDown)) => {
-                    let secs = estimate_retry_after(
-                        s.stats().queue_depth,
-                        s.decode_token_p50(),
-                        retry_after_secs,
-                        RouterConfig::default().retry_after_max_secs,
-                    );
-                    return Response::text(503, e.to_string())
-                        .with_header("retry-after", secs.to_string());
-                }
-            }
-        }
-        None => wisdom.complete_constrained(&completion_request, constraint),
-    };
-    Response::json(completion_payload(&suggestion).to_text())
-}
-
-/// Router-placed completions: submit to the replica the router picks,
-/// spill to others on overflow, 503 with an estimated `Retry-After` when
-/// every replica is full.
-fn completions_pooled(
-    wisdom: &Wisdom,
-    router: &Router,
-    retry_after_fallback: u64,
-    default_constraint: Constraint,
-    request: &Request,
-) -> Response {
-    let (completion_request, constraint) = match parse_completion(request, default_constraint) {
-        Ok(r) => r,
-        Err(response) => return response,
-    };
-    match router.submit(wisdom.decode_request_constrained(&completion_request, constraint)) {
-        Ok(pending) => {
-            let suggestion = wisdom.suggestion_from_tokens(&completion_request, &pending.wait());
-            Response::json(completion_payload(&suggestion).to_text())
-        }
-        Err(e) => Response::text(503, e.to_string()).with_header(
-            "retry-after",
-            router.retry_after_secs(retry_after_fallback).to_string(),
-        ),
-    }
-}
-
-/// Streams a completion as server-sent events, writing directly to the
-/// socket: one `{"token": …}` event per decoded token, the exact
-/// non-streaming JSON object as the final data event, then `[DONE]`.
-/// Returns the status to log. Validation failures are written as ordinary
-/// (non-chunked) responses before any SSE bytes commit the stream.
-fn stream_completion(
-    wisdom: &Wisdom,
-    router: Option<&Router>,
-    retry_after_fallback: u64,
-    default_constraint: Constraint,
-    telemetry: &ServerTelemetry,
-    conn: &mut TcpStream,
-    request: &Request,
-) -> u16 {
-    let reject = |conn: &mut TcpStream, response: Response| {
-        let status = response.status;
-        let _ = response.write_to(conn);
-        status
-    };
-    let (completion_request, constraint) = match parse_completion(request, default_constraint) {
-        Ok(r) => r,
-        Err(response) => return reject(conn, response),
-    };
-    let Some(router) = router else {
-        return reject(
-            conn,
-            Response::text(
-                501,
-                "streaming requires the batched scheduler (max_batch_size > 1)",
-            ),
-        );
-    };
-    let stream = match router
-        .submit_streaming(wisdom.decode_request_constrained(&completion_request, constraint))
-    {
-        Ok(stream) => stream,
-        Err(e) => {
-            return reject(
-                conn,
-                Response::text(503, e.to_string()).with_header(
-                    "retry-after",
-                    router.retry_after_secs(retry_after_fallback).to_string(),
-                ),
-            );
-        }
-    };
-    // From here the head has committed the connection to a chunked 200;
-    // write failures (client gone) only abort the body.
-    let started = Instant::now();
-    if write_sse_head(conn).is_err() {
-        let _ = stream.result.wait();
-        return 200;
-    }
-    let mut previous: Option<Instant> = None;
-    for token in stream.tokens.iter() {
-        let now = Instant::now();
-        match previous {
-            None => telemetry
-                .stream_ttft
-                .observe(started.elapsed().as_secs_f64()),
-            Some(p) => telemetry
-                .stream_token
-                .observe(now.duration_since(p).as_secs_f64()),
-        }
-        previous = Some(now);
-        let event = Json::obj(vec![("token", Json::Str(wisdom.token_text(token)))]).to_text();
-        if write_sse_event(conn, &event).is_err() {
-            break;
-        }
-    }
-    let suggestion = wisdom.suggestion_from_tokens(&completion_request, &stream.result.wait());
-    let _ = write_sse_event(conn, &completion_payload(&suggestion).to_text());
-    let _ = write_sse_event(conn, "[DONE]");
-    let _ = finish_chunked(conn);
-    200
-}
-
-/// `/v1/stats` over a replica pool: the single-scheduler JSON shape with
-/// pool-summed values, plus `replica_count` and a per-replica breakdown.
-fn pool_stats(router: &Router, bundles: &[ReplicaTelemetry], config: &ServerConfig) -> Response {
-    let agg = router.pool().aggregate();
-    let num = |n: usize| Json::Num(n as f64);
-    let count = |n: u64| Json::Num(n as f64);
-    let pc = agg.prefix_cache.unwrap_or_default();
-    let quant_bundles = || bundles.iter().filter_map(|b| b.quant.as_ref());
-    let grammar_bundles = || bundles.iter().filter_map(|b| b.grammar.as_ref());
-    let replicas = agg
-        .replicas
-        .iter()
-        .map(|s| {
-            let rpc = s.prefix_cache.unwrap_or_default();
-            Json::obj(vec![
-                ("queue_depth", num(s.queue_depth)),
-                ("in_flight", num(s.in_flight)),
-                ("wakeups", count(s.wakeups)),
-                ("prefix_cache_hits", count(rpc.hits)),
-                ("prefix_cache_bytes", num(rpc.bytes)),
-            ])
-        })
-        .collect();
-    Response::json(
-        Json::obj(vec![
-            ("queue_depth", num(agg.queue_depth)),
-            ("in_flight", num(agg.in_flight)),
-            ("max_batch_size", num(config.max_batch_size)),
-            ("queue_capacity", num(config.queue_depth)),
-            (
-                "prefix_cache",
-                Json::obj(vec![
-                    ("enabled", Json::Bool(agg.prefix_cache.is_some())),
-                    ("hits", count(pc.hits)),
-                    ("misses", count(pc.misses)),
-                    ("hit_tokens", count(pc.hit_tokens)),
-                    ("evicted_segments", count(pc.evicted_segments)),
-                    ("bytes", num(pc.bytes)),
-                    ("segments", num(pc.segments)),
-                    ("budget_bytes", num(pc.budget_bytes)),
-                ]),
-            ),
-            (
-                "speculative",
-                Json::obj(vec![
-                    ("enabled", Json::Bool(config.speculative.enabled())),
-                    ("k", num(config.speculative.max_draft)),
-                    (
-                        "draft",
-                        Json::Str(config.speculative.draft_label().to_string()),
-                    ),
-                ]),
-            ),
-            (
-                "precision",
-                Json::Str(config.precision.as_str().to_string()),
-            ),
-            (
-                "quant",
-                Json::obj(vec![
-                    (
-                        "weight_bytes",
-                        num(quant_bundles().map(|q| q.weight_bytes.get()).sum::<f64>() as usize),
-                    ),
-                    (
-                        "weight_bytes_saved",
-                        num(quant_bundles()
-                            .map(|q| q.weight_bytes_saved.get())
-                            .sum::<f64>() as usize),
-                    ),
-                    (
-                        "matmuls_int8",
-                        count(quant_bundles().map(|q| q.matmuls_int8.get()).sum()),
-                    ),
-                    (
-                        "matmuls_f32",
-                        count(quant_bundles().map(|q| q.matmuls_f32.get()).sum()),
-                    ),
-                ]),
-            ),
-            (
-                "grammar",
-                Json::obj(vec![
-                    (
-                        "constraint",
-                        Json::Str(config.constraint.as_str().to_string()),
-                    ),
-                    (
-                        "masked_tokens",
-                        count(grammar_bundles().map(|g| g.masked_tokens.get()).sum()),
-                    ),
-                    (
-                        "forced_tokens",
-                        count(grammar_bundles().map(|g| g.forced_fast_path.get()).sum()),
-                    ),
-                    (
-                        "states_cached",
-                        num(grammar_bundles()
-                            .map(|g| g.states_cached.get())
-                            .sum::<f64>() as usize),
-                    ),
-                ]),
-            ),
-            ("replica_count", num(router.pool().len())),
-            ("replicas", Json::Arr(replicas)),
-        ])
-        .to_text(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
+    use std::collections::{BTreeSet, HashMap};
     use std::sync::OnceLock;
     use wisdom_core::WisdomConfig;
 
@@ -983,6 +707,14 @@ mod tests {
         WISDOM
             .get_or_init(|| Arc::new(Wisdom::train(&WisdomConfig::tiny(), None)))
             .clone()
+    }
+
+    fn service(config: ServerConfig) -> Service {
+        Service::new(
+            tiny_wisdom(),
+            config,
+            ServerTelemetry::with_logger(wisdom_telemetry::Logger::default()),
+        )
     }
 
     fn post(path: &str, body: &str) -> Request {
@@ -994,31 +726,48 @@ mod tests {
         }
     }
 
+    fn get(path: &str) -> Request {
+        Request {
+            method: "GET".to_string(),
+            path: path.to_string(),
+            headers: HashMap::new(),
+            body: Vec::new(),
+        }
+    }
+
+    fn json_body(r: Response) -> Json {
+        parse_json(&String::from_utf8(r.body).unwrap()).unwrap()
+    }
+
+    fn retry_after(r: &Response) -> Option<&str> {
+        r.headers
+            .iter()
+            .find(|(k, _)| k == "retry-after")
+            .map(|(_, v)| v.as_str())
+    }
+
+    /// Polls `cond` until it holds, failing after ten seconds.
+    fn eventually(what: &str, mut cond: impl FnMut() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !cond() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    }
+
     #[test]
     fn healthz_works() {
-        let w = tiny_wisdom();
-        let r = route(
-            &w,
-            &Request {
-                method: "GET".to_string(),
-                path: "/healthz".to_string(),
-                headers: HashMap::new(),
-                body: Vec::new(),
-            },
-        );
+        let r = service(ServerConfig::default()).dispatch(&get("/healthz"));
         assert_eq!(r.status, 200);
         assert_eq!(r.body, b"ok");
     }
 
     #[test]
     fn completions_endpoint_returns_json() {
-        let w = tiny_wisdom();
-        let r = route(
-            &w,
-            &post("/v1/completions", r#"{"prompt":"install nginx"}"#),
-        );
+        let r = service(ServerConfig::default())
+            .dispatch(&post("/v1/completions", r#"{"prompt":"install nginx"}"#));
         assert_eq!(r.status, 200);
-        let j = parse_json(&String::from_utf8(r.body).unwrap()).unwrap();
+        let j = json_body(r);
         assert!(j.get("completion").is_some());
         assert!(j.get("schema_correct").and_then(Json::as_bool).is_some());
         let snippet = j.get("snippet").and_then(Json::as_str).unwrap();
@@ -1027,44 +776,34 @@ mod tests {
 
     #[test]
     fn lint_endpoint_reports_findings() {
-        let w = tiny_wisdom();
-        let good = route(
-            &w,
-            &post(
-                "/v1/lint",
-                r#"{"content":"- name: ok\n  ansible.builtin.ping: {}\n"}"#,
-            ),
-        );
+        let s = service(ServerConfig::default());
+        let good = s.dispatch(&post(
+            "/v1/lint",
+            r#"{"content":"- name: ok\n  ansible.builtin.ping: {}\n"}"#,
+        ));
         assert_eq!(good.status, 200);
-        let j = parse_json(&String::from_utf8(good.body).unwrap()).unwrap();
+        let j = json_body(good);
         assert_eq!(j.get("schema_correct").and_then(Json::as_bool), Some(true));
 
-        let bad = route(
-            &w,
-            &post(
-                "/v1/lint",
-                r#"{"content":"- name: bad\n  not_a_module: {}\n"}"#,
-            ),
-        );
-        let j = parse_json(&String::from_utf8(bad.body).unwrap()).unwrap();
+        let bad = s.dispatch(&post(
+            "/v1/lint",
+            r#"{"content":"- name: bad\n  not_a_module: {}\n"}"#,
+        ));
+        let j = json_body(bad);
         assert_eq!(j.get("schema_correct").and_then(Json::as_bool), Some(false));
         assert!(matches!(j.get("findings"), Some(Json::Arr(items)) if !items.is_empty()));
     }
 
     #[test]
-    fn stats_endpoint_reports_idle_direct_path() {
-        let w = tiny_wisdom();
-        let r = route(
-            &w,
-            &Request {
-                method: "GET".to_string(),
-                path: "/v1/stats".to_string(),
-                headers: HashMap::new(),
-                body: Vec::new(),
-            },
-        );
+    fn stats_endpoint_reports_an_idle_one_lane_pool() {
+        let r = service(ServerConfig {
+            max_batch_size: 1,
+            prefix_cache_bytes: 0,
+            ..ServerConfig::default()
+        })
+        .dispatch(&get("/v1/stats"));
         assert_eq!(r.status, 200);
-        let j = parse_json(&String::from_utf8(r.body).unwrap()).unwrap();
+        let j = json_body(r);
         assert_eq!(j.get("queue_depth").and_then(Json::as_f64), Some(0.0));
         assert_eq!(j.get("in_flight").and_then(Json::as_f64), Some(0.0));
         assert_eq!(j.get("max_batch_size").and_then(Json::as_f64), Some(1.0));
@@ -1076,35 +815,104 @@ mod tests {
         assert_eq!(spec.get("draft").and_then(Json::as_str), Some("off"));
     }
 
-    fn get(path: &str) -> Request {
-        Request {
-            method: "GET".to_string(),
-            path: path.to_string(),
-            headers: HashMap::new(),
-            body: Vec::new(),
+    /// Every key path of a JSON value; array elements share a `[]` segment.
+    fn key_paths(j: &Json, prefix: &str, out: &mut BTreeSet<String>) {
+        match j {
+            Json::Obj(map) => {
+                for (k, v) in map {
+                    let path = format!("{prefix}{k}");
+                    out.insert(path.clone());
+                    key_paths(v, &format!("{path}."), out);
+                }
+            }
+            Json::Arr(items) => {
+                for v in items {
+                    key_paths(v, &format!("{}[].", prefix.trim_end_matches('.')), out);
+                }
+            }
+            _ => {}
         }
     }
 
     #[test]
-    fn readyz_reflects_the_ready_flag() {
-        let w = tiny_wisdom();
-        // The direct path (no scheduler) is ready as soon as it's routable.
-        assert_eq!(route(&w, &get("/readyz")).status, 200);
-        let not_ready = route_full(&w, None, 2, None, false, &get("/readyz"));
-        assert_eq!(not_ready.status, 503);
-        assert!(not_ready
-            .headers
-            .iter()
-            .any(|(k, v)| k == "retry-after" && v == "2"));
+    fn default_stats_key_set_is_pinned() {
+        let r = service(ServerConfig::default()).dispatch(&get("/v1/stats"));
+        assert_eq!(r.status, 200);
+        let mut got = BTreeSet::new();
+        key_paths(&json_body(r), "", &mut got);
+        let want: BTreeSet<String> = [
+            "queue_depth",
+            "in_flight",
+            "max_batch_size",
+            "queue_capacity",
+            "prefix_cache",
+            "prefix_cache.enabled",
+            "prefix_cache.hits",
+            "prefix_cache.misses",
+            "prefix_cache.hit_tokens",
+            "prefix_cache.evicted_segments",
+            "prefix_cache.bytes",
+            "prefix_cache.segments",
+            "prefix_cache.budget_bytes",
+            "speculative",
+            "speculative.enabled",
+            "speculative.k",
+            "speculative.draft",
+            "precision",
+            "quant",
+            "quant.weight_bytes",
+            "quant.weight_bytes_saved",
+            "quant.matmuls_int8",
+            "quant.matmuls_f32",
+            "grammar",
+            "grammar.constraint",
+            "grammar.masked_tokens",
+            "grammar.forced_tokens",
+            "grammar.states_cached",
+            "replica_count",
+            "replicas",
+            "replicas[].queue_depth",
+            "replicas[].in_flight",
+            "replicas[].wakeups",
+            "replicas[].prefix_cache_hits",
+            "replicas[].prefix_cache_bytes",
+        ]
+        .into_iter()
+        .map(String::from)
+        .collect();
+        assert_eq!(got, want);
     }
 
     #[test]
-    fn metrics_renders_exposition_with_telemetry_and_404s_without() {
-        let w = tiny_wisdom();
-        assert_eq!(route(&w, &get("/metrics")).status, 404);
-        let telemetry = ServerTelemetry::with_logger(wisdom_telemetry::Logger::default());
-        telemetry.observe_request("GET", "/healthz", 200, 0.001);
-        let r = route_full(&w, None, 1, Some(&telemetry), true, &get("/metrics"));
+    fn readyz_follows_the_decode_workers_and_the_forced_flag() {
+        let s = service(ServerConfig {
+            retry_after_secs: 2,
+            ..ServerConfig::default()
+        });
+        eventually("the decode worker", || {
+            s.dispatch(&get("/readyz")).status == 200
+        });
+        assert_eq!(s.dispatch(&get("/readyz")).body, b"ready");
+        s.forced_unready.store(true, Ordering::SeqCst);
+        let not_ready = s.dispatch(&get("/readyz"));
+        assert_eq!(not_ready.status, 503);
+        assert_eq!(retry_after(&not_ready), Some("2"));
+        s.forced_unready.store(false, Ordering::SeqCst);
+        assert_eq!(s.dispatch(&get("/readyz")).status, 200);
+
+        // A worker that exits takes readiness with it.
+        s.router.pool().shutdown();
+        eventually("the workers to exit", || !s.router.pool().worker_ready());
+        let gone = s.dispatch(&get("/readyz"));
+        assert_eq!(gone.status, 503);
+        assert_eq!(retry_after(&gone), Some("2"));
+    }
+
+    #[test]
+    fn metrics_renders_the_exposition() {
+        let s = service(ServerConfig::default());
+        s.telemetry.observe_request("GET", "/healthz", 200, 0.001);
+        let r = s.dispatch(&get("/metrics"));
         assert_eq!(r.status, 200);
         assert_eq!(r.content_type, METRICS_CONTENT_TYPE);
         let body = String::from_utf8(r.body).unwrap();
@@ -1116,27 +924,67 @@ mod tests {
     }
 
     #[test]
-    fn stats_from_registry_keeps_the_json_shape() {
-        let w = tiny_wisdom();
-        let telemetry = ServerTelemetry::with_logger(wisdom_telemetry::Logger::default());
-        telemetry.batch.queue_depth.set(3.0);
-        telemetry.batch.batch_occupancy.set(2.0);
-        let r = route_full(&w, None, 1, Some(&telemetry), true, &get("/v1/stats"));
-        assert_eq!(r.status, 200);
-        let j = parse_json(&String::from_utf8(r.body).unwrap()).unwrap();
-        assert_eq!(j.get("queue_depth").and_then(Json::as_f64), Some(3.0));
-        assert_eq!(j.get("in_flight").and_then(Json::as_f64), Some(2.0));
-        // Scheduler-less: the prefix cache reads disabled even though the
-        // registry has the (idle) family registered.
-        let pc = j.get("prefix_cache").expect("prefix_cache object");
-        assert_eq!(pc.get("enabled").and_then(Json::as_bool), Some(false));
+    fn bad_requests_are_rejected() {
+        let s = service(ServerConfig::default());
+        assert_eq!(s.dispatch(&post("/v1/completions", "not json")).status, 400);
+        assert_eq!(s.dispatch(&post("/v1/completions", "{}")).status, 400);
+        assert_eq!(s.dispatch(&post("/nope", "{}")).status, 404);
+    }
+
+    /// A one-lane service with admission paused, so submissions park in the
+    /// queue until the test shuts the pool down under them.
+    fn paused_one_lane_service() -> Service {
+        let s = service(ServerConfig {
+            max_batch_size: 1,
+            retry_after_secs: 4,
+            ..ServerConfig::default()
+        });
+        s.router.pool().set_admission_paused(true);
+        s
     }
 
     #[test]
-    fn bad_requests_are_rejected() {
-        let w = tiny_wisdom();
-        assert_eq!(route(&w, &post("/v1/completions", "not json")).status, 400);
-        assert_eq!(route(&w, &post("/v1/completions", "{}")).status, 400);
-        assert_eq!(route(&w, &post("/nope", "{}")).status, 404);
+    fn lost_decode_result_answers_503() {
+        let s = paused_one_lane_service();
+        let response = std::thread::scope(|scope| {
+            let client = scope
+                .spawn(|| s.dispatch(&post("/v1/completions", r#"{"prompt":"install nginx"}"#)));
+            eventually("the queued request", || {
+                s.router.pool().aggregate().queue_depth == 1
+            });
+            s.router.pool().shutdown();
+            client.join().expect("client thread")
+        });
+        assert_eq!(response.status, 503, "a lost result is not a success");
+        assert_eq!(retry_after(&response), Some("4"));
+    }
+
+    #[test]
+    fn lost_stream_result_ends_without_the_final_event() {
+        let s = paused_one_lane_service();
+        let request = post(
+            "/v1/completions",
+            r#"{"prompt":"install nginx","stream":true}"#,
+        );
+        let (status, wire) = std::thread::scope(|scope| {
+            let client = scope.spawn(|| {
+                let mut wire = Vec::new();
+                (s.stream_completion(&mut wire, &request), wire)
+            });
+            eventually("the queued stream", || {
+                s.router.pool().aggregate().queue_depth == 1
+            });
+            s.router.pool().shutdown();
+            client.join().expect("client thread")
+        });
+        assert_eq!(status, 503, "the access log records the lost stream");
+        let wire = String::from_utf8(wire).unwrap();
+        assert!(wire.starts_with("HTTP/1.1 200"), "{wire}");
+        assert!(!wire.contains("[DONE]"), "{wire}");
+        assert!(!wire.contains("\"snippet\""), "{wire}");
+        assert!(
+            wire.ends_with("0\r\n\r\n"),
+            "chunked body still closes: {wire}"
+        );
     }
 }

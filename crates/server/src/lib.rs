@@ -31,7 +31,7 @@ mod json;
 mod router;
 mod telemetry;
 
-pub use api::{route, route_full, route_with, ServerConfig, ServerHandle, WisdomServer};
+pub use api::{ServerConfig, ServerHandle, WisdomServer};
 pub use client::{
     get, post, post_raw, post_sse, request_completion, ClientError, CompletionResponse,
     HttpConnection,

@@ -388,10 +388,10 @@ mod tests {
     fn affinity_routes_a_resend_to_the_warm_replica() {
         let pool = pool(2);
         let router = Router::new(Arc::clone(&pool), RouterConfig::default(), None);
-        let req = wisdom().decode_request(&wisdom_core::CompletionRequest {
-            context: String::new(),
-            prompt: "install nginx and enable the service".to_string(),
-        });
+        let req = wisdom().decode_request(
+            &wisdom_core::CompletionRequest::new("", "install nginx and enable the service"),
+            wisdom_core::Constraint::None,
+        );
         // Warm exactly one replica, picked by the hash fallback.
         let first = router.decide(&req.prompt, req.opts.max_new_tokens);
         assert_eq!(first.matched_tokens, 0);
@@ -431,13 +431,13 @@ mod tests {
             ..RouterConfig::default()
         };
         let router = Router::new(Arc::clone(&pool), cfg, Some(telemetry.clone()));
-        let req = wisdom().decode_request(&wisdom_core::CompletionRequest {
-            context: String::new(),
-            prompt: "restart the docker daemon".to_string(),
-        });
+        let req = wisdom().decode_request(
+            &wisdom_core::CompletionRequest::new("", "restart the docker daemon"),
+            wisdom_core::Constraint::None,
+        );
         // Saturate the hash-preferred replica: admission paused so the
         // worker cannot drain mid-test, then fill its bounded queue. The
-        // parked jobs resolve to empty outputs at shutdown.
+        // parked jobs resolve as lost at shutdown.
         let first = router.decide(&req.prompt, req.opts.max_new_tokens).replica;
         let mut parked = Vec::new();
         let fill = |replica: usize, parked: &mut Vec<wisdom_core::Pending>| {
@@ -460,7 +460,11 @@ mod tests {
         assert_eq!(telemetry.shed.get(), 1);
         pool.shutdown();
         for p in parked {
-            assert!(p.wait().is_empty(), "parked jobs resolve empty at shutdown");
+            assert_eq!(
+                p.wait_checked(),
+                Err(SubmitError::ShutDown),
+                "parked jobs resolve as lost at shutdown"
+            );
         }
     }
 

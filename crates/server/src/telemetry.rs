@@ -3,9 +3,9 @@
 //!
 //! [`ServerTelemetry`] is created at bind time and threaded through every
 //! connection handler. It owns the [`Registry`] that `GET /metrics` renders
-//! and the pre-resolved handle bundles the scheduler and prefix cache
-//! record into, so one scrape sees the whole stack: HTTP, scheduler, decode
-//! engine, and cache.
+//! and the decode-path [`ReplicaTelemetry`] contexts the replica pool
+//! records into, so one scrape sees the whole stack: HTTP, router,
+//! scheduler, decode engine, and cache.
 
 use std::sync::Arc;
 
@@ -43,18 +43,10 @@ fn route_label(path: &str) -> &'static str {
 #[derive(Debug, Clone)]
 pub struct ServerTelemetry {
     registry: Arc<Registry>,
-    /// Scheduler/decode-engine handles, passed into the batch scheduler.
-    pub batch: BatchTelemetry,
-    /// Prefix-cache handles, attached to the scheduler's cache.
-    pub prefix_cache: PrefixCacheTelemetry,
-    /// Speculative-decoding handles, passed into the batch scheduler.
-    pub speculative: SpeculativeTelemetry,
-    /// Weight-quantization handles (resident/saved bytes, quantized-matmul
-    /// share), passed into the batch scheduler.
-    pub quant: QuantTelemetry,
-    /// Grammar-constrained-decoding handles (masked tokens, mask-build
-    /// latency, cached automaton states), passed into the batch scheduler.
-    pub grammar: GrammarTelemetry,
+    /// The unlabeled decode-path context (scheduler, prefix cache,
+    /// speculation, quantization, grammar), every handle registered at
+    /// construction; a one-replica pool records into it.
+    pub decode: ReplicaTelemetry,
     /// Structured access/error log (`WISDOM_LOG=info|debug`).
     pub logger: Logger,
     /// `wisdom_request_duration_seconds{route=…}`, pre-resolved per known
@@ -80,11 +72,7 @@ impl ServerTelemetry {
     /// capturing one).
     pub fn with_logger(logger: Logger) -> ServerTelemetry {
         let registry = Arc::new(Registry::new());
-        let batch = BatchTelemetry::register(&registry);
-        let prefix_cache = PrefixCacheTelemetry::register(&registry);
-        let speculative = SpeculativeTelemetry::register(&registry);
-        let quant = QuantTelemetry::register(&registry);
-        let grammar = GrammarTelemetry::register(&registry);
+        let decode = decode_context(&registry, &[]);
         let buckets = Histogram::latency_buckets();
         let request_duration = KNOWN_ROUTES
             .iter()
@@ -117,11 +105,7 @@ impl ServerTelemetry {
         );
         ServerTelemetry {
             registry,
-            batch,
-            prefix_cache,
-            speculative,
-            quant,
-            grammar,
+            decode,
             logger,
             request_duration,
             requests_total,
@@ -130,40 +114,17 @@ impl ServerTelemetry {
         }
     }
 
-    /// Telemetry bundles for an `n`-replica pool. One replica reuses the
-    /// unlabeled server-wide bundles (scrape output identical to the
-    /// single-scheduler server); more than one registers a labeled
+    /// Telemetry contexts for an `n`-replica pool. One replica reuses the
+    /// unlabeled server-wide context; more than one registers a labeled
     /// `replica="i"` series set per replica in the same families, so one
-    /// scrape shows both per-replica and (summed by the scraper)
-    /// aggregate behavior.
+    /// scrape shows both per-replica and (summed by the scraper) aggregate
+    /// behavior.
     pub fn replica_bundles(&self, n: usize) -> Vec<ReplicaTelemetry> {
         if n <= 1 {
-            return vec![ReplicaTelemetry {
-                batch: Some(self.batch.clone()),
-                prefix_cache: Some(self.prefix_cache.clone()),
-                speculative: Some(self.speculative.clone()),
-                quant: Some(self.quant.clone()),
-                grammar: Some(self.grammar.clone()),
-            }];
+            return vec![self.decode.clone()];
         }
         (0..n)
-            .map(|i| {
-                let idx = i.to_string();
-                let labels: &[(&str, &str)] = &[("replica", &idx)];
-                ReplicaTelemetry {
-                    batch: Some(BatchTelemetry::register_labeled(&self.registry, labels)),
-                    prefix_cache: Some(PrefixCacheTelemetry::register_labeled(
-                        &self.registry,
-                        labels,
-                    )),
-                    speculative: Some(SpeculativeTelemetry::register_labeled(
-                        &self.registry,
-                        labels,
-                    )),
-                    quant: Some(QuantTelemetry::register_labeled(&self.registry, labels)),
-                    grammar: Some(GrammarTelemetry::register_labeled(&self.registry, labels)),
-                }
-            })
+            .map(|i| decode_context(&self.registry, &[("replica", &i.to_string())]))
             .collect()
     }
 
@@ -207,6 +168,18 @@ impl ServerTelemetry {
     /// Renders the registry in Prometheus text exposition format.
     pub fn render(&self) -> String {
         self.registry.render()
+    }
+}
+
+/// A decode-path context with every handle registered in `registry` under
+/// `labels`.
+fn decode_context(registry: &Registry, labels: &[(&str, &str)]) -> ReplicaTelemetry {
+    ReplicaTelemetry {
+        batch: Some(BatchTelemetry::register_labeled(registry, labels)),
+        prefix_cache: Some(PrefixCacheTelemetry::register_labeled(registry, labels)),
+        speculative: Some(SpeculativeTelemetry::register_labeled(registry, labels)),
+        quant: Some(QuantTelemetry::register_labeled(registry, labels)),
+        grammar: Some(GrammarTelemetry::register_labeled(registry, labels)),
     }
 }
 
@@ -262,9 +235,10 @@ mod tests {
     #[test]
     fn scheduler_and_cache_families_share_the_registry() {
         let t = ServerTelemetry::with_logger(Logger::capture(LogLevel::Off));
-        t.batch.admitted.inc();
-        t.prefix_cache.hits.inc();
-        t.speculative.accepted.add(3);
+        let decode = &t.decode;
+        decode.batch.as_ref().expect("batch").admitted.inc();
+        decode.prefix_cache.as_ref().expect("cache").hits.inc();
+        decode.speculative.as_ref().expect("spec").accepted.add(3);
         let text = t.render();
         assert_eq!(
             sample_value(&text, "wisdom_requests_admitted_total"),

@@ -5,7 +5,7 @@
 use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
-use wisdom_core::{BatchConfig, CompletionRequest, Wisdom, WisdomConfig};
+use wisdom_core::{BatchConfig, CompletionRequest, Constraint, Suggestion, Wisdom, WisdomConfig};
 use wisdom_server::{rendezvous_pick, Router, RouterConfig};
 
 fn wisdom() -> &'static Wisdom {
@@ -111,7 +111,7 @@ proptest! {
         for &(which, streamed) in &picks {
             let prompt = PROMPTS[which];
             let request = CompletionRequest::new("", prompt);
-            let decode = w.decode_request(&request);
+            let decode = w.decode_request(&request, Constraint::None);
             let expected = w.complete_task("", prompt);
             let out = if streamed == 1 {
                 let stream = router.submit_streaming(decode).expect("submit");
@@ -122,7 +122,7 @@ proptest! {
             } else {
                 router.submit(decode).expect("submit").wait()
             };
-            let got = w.suggestion_from_tokens(&request, &out);
+            let got = Suggestion::from_raw(&request, &w.tokenizer().decode(&out));
             prop_assert_eq!(&got.snippet, &expected.snippet, "prompt {:?}", prompt);
             prop_assert_eq!(&got.body, &expected.body, "prompt {:?}", prompt);
         }

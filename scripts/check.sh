@@ -13,10 +13,16 @@
 # the solo/batched/speculative paths), and
 # the observability/serving e2e tests (/metrics scrape, /healthz, /readyz,
 # SSE streaming vs plain bit-identity, constrained completions over HTTP
-# incl. SSE, keep-alive socket reuse — all over real sockets), and the
+# incl. SSE, keep-alive socket reuse, one-lane pools streaming and serving
+# int8, the /metrics family/label-key pin for one and two replicas — all
+# over real sockets), the server and core unit tests (the one request
+# dispatcher, lost-result 503s, readiness after shutdown, the /v1/stats
+# key set), the
 # curation crate's unit + property + determinism suites (MinHash estimator
 # tolerance and LSH recall/no-false-drop properties, plus the end-to-end
-# byte-identical-shards-across-worker-counts contract). Run from
+# byte-identical-shards-across-worker-counts contract), and a build + test
+# of the standalone benchmark package against the changed crates (it is
+# its own workspace, so `--workspace` never builds it). Run from
 # the repository root before sending a change.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -37,6 +43,7 @@ cargo test -q -p wisdom-tensor
 cargo test --doc -q
 cargo test -q -p wisdom-telemetry
 cargo test -q -p wisdom-server --test router_props
+cargo test -q -p wisdom-server -p wisdom-core --lib
 cargo test -q -p wisdom-curation
 cargo test -q --test server_e2e -- \
   metrics_scrape_mid_load_counts_requests \
@@ -45,4 +52,8 @@ cargo test -q --test server_e2e -- \
   keep_alive_connection_reuses_one_socket_for_sequential_requests \
   constrained_completion_round_trip_and_stats_echo \
   invalid_constraint_is_rejected_with_400 \
-  streaming_constrained_completion_matches_the_plain_constrained_response
+  streaming_constrained_completion_matches_the_plain_constrained_response \
+  one_lane_server_streams_and_matches_the_plain_response \
+  one_lane_int8_server_serves_int8 \
+  metrics_families_and_label_keys_are_pinned_for_one_and_two_replicas
+CARGO_TARGET_DIR=.bench_build cargo test -q --locked --manifest-path benchmark/Cargo.toml

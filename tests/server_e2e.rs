@@ -767,3 +767,156 @@ fn streaming_constrained_completion_matches_the_plain_constrained_response() {
     assert_eq!(events.last().map(String::as_str), Some(plain.as_str()));
     handle.stop();
 }
+
+#[test]
+fn one_lane_server_streams_and_matches_the_plain_response() {
+    use ansible_wisdom::server::post_sse;
+
+    // `max_batch_size: 1` is a pool of one-lane decode workers, so it
+    // streams like any other configuration.
+    let (handle, addr) = spawn_server_with(ServerConfig {
+        max_batch_size: 1,
+        ..ServerConfig::default()
+    });
+    let body = r#"{"prompt":"install nginx"}"#;
+    let (status, _, plain) = post_raw(addr, "/v1/completions", body).expect("plain");
+    assert_eq!(status, 200, "{plain}");
+
+    let streamed = r#"{"prompt":"install nginx","stream":true}"#;
+    let (status, events) = post_sse(addr, "/v1/completions", streamed).expect("stream");
+    assert_eq!(status, 200, "{events:?}");
+    assert!(
+        events.len() >= 2,
+        "want at least one token event plus the final object: {events:?}"
+    );
+    assert_eq!(events.last().map(String::as_str), Some(plain.as_str()));
+    handle.stop();
+}
+
+#[test]
+fn one_lane_int8_server_serves_int8() {
+    use ansible_wisdom::core::Precision;
+
+    let (handle, addr) = spawn_server_with(ServerConfig {
+        max_batch_size: 1,
+        precision: Precision::Int8,
+        ..ServerConfig::default()
+    });
+    let first = request_completion(addr, "", "install nginx").expect("completion");
+    let again = request_completion(addr, "", "install nginx").expect("completion");
+    assert_eq!(first.snippet, again.snippet);
+
+    let (status, body) = get(addr, "/v1/stats").expect("get stats");
+    assert_eq!(status, 200, "{body}");
+    let j = parse_json(&body).expect("stats json");
+    assert_eq!(j.get("precision").and_then(Json::as_str), Some("int8"));
+    let quant = j.get("quant").expect("quant object");
+    let field = |k: &str| quant.get(k).and_then(Json::as_f64).expect("quant field");
+    assert!(field("matmuls_int8") > 0.0, "{body}");
+    assert_eq!(field("matmuls_f32"), 0.0, "{body}");
+    handle.stop();
+}
+
+/// `family{label keys}` for every series in a Prometheus exposition (the
+/// histogram `le` key left out), plus the speculative samples' values.
+fn metric_shape(text: &str) -> (std::collections::BTreeSet<String>, Vec<f64>) {
+    let mut shape = std::collections::BTreeSet::new();
+    let mut speculative = Vec::new();
+    let mut family = "";
+    for line in text.lines() {
+        if let Some(rest) = line.strip_prefix("# TYPE ") {
+            family = rest.split(' ').next().expect("family name");
+            continue;
+        }
+        if line.starts_with('#') || line.is_empty() {
+            continue;
+        }
+        let (series, value) = line.rsplit_once(' ').expect("sample value");
+        let keys: Vec<&str> = series
+            .split_once('{')
+            .map(|(_, labels)| labels.trim_end_matches('}'))
+            .into_iter()
+            .flat_map(|labels| labels.split(','))
+            .filter_map(|pair| pair.split_once('=').map(|(k, _)| k))
+            .filter(|k| *k != "le")
+            .collect();
+        shape.insert(format!("{family}{{{}}}", keys.join(",")));
+        if family.starts_with("wisdom_speculative_") {
+            speculative.push(value.parse().expect("numeric sample"));
+        }
+    }
+    (shape, speculative)
+}
+
+#[test]
+fn metrics_families_and_label_keys_are_pinned_for_one_and_two_replicas() {
+    // The decode-path families: registered unlabeled at construction, and
+    // once more per replica with a `replica` label when there are several.
+    const DECODE: &[&str] = &[
+        "wisdom_queue_wait_seconds",
+        "wisdom_ttft_seconds",
+        "wisdom_decode_token_seconds",
+        "wisdom_batch_occupancy",
+        "wisdom_queue_depth",
+        "wisdom_requests_admitted_total",
+        "wisdom_requests_completed_total",
+        "wisdom_requests_shed_total",
+        "wisdom_scheduler_wakeups_total",
+        "wisdom_prefix_cache_hits_total",
+        "wisdom_prefix_cache_misses_total",
+        "wisdom_prefix_cache_hit_tokens_total",
+        "wisdom_prefix_cache_evicted_segments_total",
+        "wisdom_prefix_cache_bytes",
+        "wisdom_prefix_cache_segments",
+        "wisdom_prefix_cache_pinned_bytes",
+        "wisdom_prefix_cache_budget_bytes",
+        "wisdom_speculative_proposed_tokens_total",
+        "wisdom_speculative_accepted_tokens_total",
+        "wisdom_speculative_rejected_tokens_total",
+        "wisdom_speculative_verify_passes_total",
+        "wisdom_speculative_acceptance_length",
+        "wisdom_speculative_draft_seconds",
+        "wisdom_quant_weight_bytes",
+        "wisdom_quant_weight_bytes_saved",
+        "wisdom_quant_matmuls_int8_total",
+        "wisdom_quant_matmuls_f32_total",
+        "wisdom_grammar_masked_tokens_total",
+        "wisdom_grammar_mask_build_seconds",
+        "wisdom_grammar_states_cached",
+        "wisdom_grammar_forced_fast_path_total",
+    ];
+    const SERVER: &[&str] = &[
+        "wisdom_request_duration_seconds{route}",
+        "wisdom_http_requests_total{}",
+        "wisdom_http_responses_total{route,status}",
+        "wisdom_stream_ttft_seconds{}",
+        "wisdom_stream_token_seconds{}",
+        "wisdom_router_requests_total{policy}",
+        "wisdom_router_prefix_matched_tokens_total{policy}",
+        "wisdom_router_overflow_reroutes_total{policy}",
+        "wisdom_router_shed_total{policy}",
+    ];
+    for replicas in [1, 2] {
+        let (handle, addr) = spawn_server_with(ServerConfig {
+            replicas,
+            ..ServerConfig::default()
+        });
+        request_completion(addr, "", "install nginx").expect("completion");
+        let (status, metrics) = get(addr, "/metrics").expect("metrics");
+        assert_eq!(status, 200);
+        let (got, speculative) = metric_shape(&metrics);
+        let mut want: std::collections::BTreeSet<String> =
+            SERVER.iter().map(|s| s.to_string()).collect();
+        want.extend(DECODE.iter().map(|f| format!("{f}{{}}")));
+        if replicas > 1 {
+            want.extend(DECODE.iter().map(|f| format!("{f}{{replica}}")));
+        }
+        assert_eq!(got, want, "replicas: {replicas}");
+        // Speculation is off: none of its series moves.
+        assert!(
+            speculative.iter().all(|v| *v == 0.0),
+            "replicas: {replicas}: {metrics}"
+        );
+        handle.stop();
+    }
+}
